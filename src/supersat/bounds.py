@@ -21,6 +21,7 @@ from supersat.core import (
     level,
     level_words,
     middle_levels,
+    sigma,
 )
 from supersat.scd import Decomposition
 
@@ -313,13 +314,17 @@ class BoundReport:
 
 
 def bound_report(n: int, k: int, x: int, achieved: Optional[int] = None) -> BoundReport:
-    from supersat.core import sigma
-
+    """The bound for a family of sigma(n, k-1) + x sets, which must fit in the
+    2^n subsets of [n]."""
+    _check_nk(n, k)
+    threshold = sigma(n, k - 1)
+    if x > (1 << n) - threshold:
+        raise ValueError(f"x must be in [0, {(1 << n) - threshold}], got {x}")
     return BoundReport(
         n=n,
         k=k,
         x=x,
-        sigma_threshold=sigma(n, k - 1),
+        sigma_threshold=threshold,
         bound_value=supersat_bound(n, k, x),
         tight_x_max=tight_x_max(n, k),
         achieved_count=achieved,

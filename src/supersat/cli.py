@@ -63,7 +63,11 @@ def _emit(payload: dict) -> None:
 
 def _read_family(path: str) -> Family:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_family(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise FamilyFormatError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_family(text)
 
 
 def _cmd_bound(args) -> int:

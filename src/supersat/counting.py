@@ -1,11 +1,20 @@
 """Exact k-chain counting: chains inside a family, chains confined to one
-decomposition chain, and endpoint-pinned counts."""
+decomposition chain, and endpoint-pinned counts.
+
+Every count of chains inside a family comes from one kernel, `_chains_by_top`:
+a subset-zeta dynamic program over the 2^n subset words in plain Python
+ints, so counts are exact with no overflow to detect.
+"""
 
 from __future__ import annotations
 
-from supersat import _backend
+import operator
+
 from supersat.core import Family, binom, level
 from supersat.scd import Decomposition
+
+# bin() digits '0'/'1' to indicator bytes 0/1
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _check_k(k: int) -> None:
@@ -13,16 +22,60 @@ def _check_k(k: int) -> None:
         raise ValueError(f"chain length k must be >= 1, got {k}")
 
 
+def _indicator(family: Family) -> bytes:
+    """Membership of every subset word, one 0/1 byte per word, read once from
+    the bitset in linear time."""
+    bits = bin(family.members)[:1:-1].encode().translate(_DIGITS)
+    return bits + bytes((1 << family.n) - len(bits))
+
+
+def _zeta(values: list[int]) -> None:
+    """In-place subset-sum transform: values[B] becomes the sum of values[A]
+    over every A contained in B.  One pass per bit; each pass adds the lower
+    half of every block of width 2*bit onto its upper half, by strided slices
+    while there are more blocks than offsets and by contiguous blocks after."""
+    add = operator.add
+    size = len(values)
+    bit = 1
+    while bit < size:
+        step = bit << 1
+        if bit < size // step:
+            for lo in range(bit):
+                values[lo + bit :: step] = map(add, values[lo + bit :: step], values[lo::step])
+        else:
+            for start in range(0, size, step):
+                mid = start + bit
+                values[mid : mid + bit] = map(add, values[mid : mid + bit], values[start:mid])
+        bit = step
+
+
+def _chains_by_top(indicator: bytes, k: int) -> list[int]:
+    """Per subset word B, the number of strict k-chains of the family whose
+    largest set is B (0 when B is not a member).
+
+    Level j holds f_j(B) = sum of f_{j-1}(A) over members A strictly inside B,
+    computed as the subset-zeta transform of f_{j-1} minus f_{j-1}, masked to
+    the family: O(k * n * 2^n) additions on exact ints.
+    """
+    tops = list(indicator)
+    for _ in range(k - 1):
+        below = tops[:]
+        _zeta(below)
+        tops = [a - b if member else 0 for a, b, member in zip(below, tops, indicator)]
+        del below  # free it before the next level copies tops, to bound peak memory
+    return tops
+
+
 def count_k_chains(family: Family, k: int) -> int:
     """Number of strict chains A_1 < ... < A_k with every set in the family.
 
-    Submask-walk dynamic programming, Theta(k * 3^n) worst case; runs on the
-    compiled kernel when available and falls back to unbounded Python ints.
+    Subset-zeta dynamic program in pure Python, O(k * n * 2^n) additions;
+    the counts are exact Python ints.
     """
     _check_k(k)
     if k > family.n + 1:
         return 0
-    return _backend.count_chains(family.n, k, family.members)
+    return sum(_chains_by_top(_indicator(family), k))
 
 
 def count_k_chains_naive(family: Family, k: int) -> int:
@@ -64,48 +117,27 @@ def count_included_chains(family: Family, dec: Decomposition, k: int) -> int:
 
 
 def count_chains_with_min_endpoint(family: Family, k: int, word: int) -> int:
-    """k-chains of the family whose smallest set is `word`."""
-    return _endpoint_count(family, k, word, largest=False)
+    """k-chains of the family whose smallest set is `word`.
+
+    Complementing every set reverses inclusion and sends word w to index
+    2^n - 1 - w, so these are the top counts of the reversed indicator.
+    """
+    _check_endpoint(family, k, word)
+    if k > family.n + 1:
+        return 0
+    reversed_tops = _chains_by_top(_indicator(family)[::-1], k)
+    return reversed_tops[(1 << family.n) - 1 - word]
 
 
 def count_chains_with_max_endpoint(family: Family, k: int, word: int) -> int:
     """k-chains of the family whose largest set is `word`."""
-    return _endpoint_count(family, k, word, largest=True)
+    _check_endpoint(family, k, word)
+    if k > family.n + 1:
+        return 0
+    return _chains_by_top(_indicator(family), k)[word]
 
 
-def _endpoint_count(family: Family, k: int, word: int, largest: bool) -> int:
+def _check_endpoint(family: Family, k: int, word: int) -> None:
     if word not in family:
         raise ValueError(f"endpoint {word} is not in the family")
     _check_k(k)
-    if k > family.n + 1:
-        return 0
-    members = list(family.words())
-    bits = family.members
-    space = 1 << family.n
-    counts = {w: 1 for w in members}
-    for _ in range(k - 1):
-        grown = {}
-        for w in members:
-            acc = 0
-            if largest:
-                # chains below w: sum over proper submasks in the family
-                if w:
-                    sub = (w - 1) & w
-                    while True:
-                        if (bits >> sub) & 1:
-                            acc += counts[sub]
-                        if not sub:
-                            break
-                        sub = (sub - 1) & w
-            else:
-                # chains above w: sum over proper supermasks in the family
-                sup = w
-                while True:
-                    sup = (sup + 1) | w
-                    if sup >= space:
-                        break
-                    if (bits >> sup) & 1:
-                        acc += counts[sup]
-            grown[w] = acc
-        counts = grown
-    return counts[word]

@@ -10,7 +10,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from supersat import _backend
 from supersat.core import Family, binom, check_ground_set, level_words
 from supersat.bounds import added_row_level, colex_smallest
 from supersat.counting import count_k_chains
@@ -38,8 +37,56 @@ def _check_size(n: int, m: int) -> None:
 
 @lru_cache(maxsize=None)
 def _exact_table(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    mins, wits = _backend.min_table(n, k)
-    return tuple(mins), tuple(wits)
+    """Exhaustive k-chain minima over every family of every size, n <= 4.
+
+    Sweeps the whole 2^(2^n) family space as an integer counter.  Returns
+    (mins, witnesses) indexed by family size m; the witness is the smallest
+    membership bitset attaining the minimum.  The chain DP is inlined over
+    precomputed submask lists: across 2^16 tiny families that beats calling
+    the shared zeta kernel once per family.
+    """
+    size = 1 << n
+    subs = []
+    for b in range(size):
+        lst = []
+        if b:
+            sub = (b - 1) & b
+            while True:
+                lst.append(sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & b
+        subs.append(tuple(lst))
+    mins: list[int | None] = [None] * (size + 1)
+    wits = [0] * (size + 1)
+    levels = min(k, size + 1) - 1
+    for fam in range(1 << size):
+        words = []
+        f = fam
+        while f:
+            low = f & -f
+            words.append(low.bit_length() - 1)
+            f ^= low
+        m = len(words)
+        if k > m:
+            cnt = 0
+        else:
+            old = [0] * size
+            for w in words:
+                old[w] = 1
+            for _ in range(levels):
+                new = [0] * size
+                for b in words:
+                    acc = 0
+                    for sub in subs[b]:
+                        acc += old[sub]
+                    new[b] = acc
+                old = new
+            cnt = sum(old[w] for w in words)
+        if mins[m] is None or cnt < mins[m]:
+            mins[m] = cnt
+            wits[m] = fam
+    return tuple(mins), tuple(wits)  # type: ignore[arg-type]
 
 
 def min_chain_count_exact(n: int, k: int, m: int) -> OracleResult:
@@ -156,7 +203,7 @@ def min_chain_count_heuristic(
         i = rng.randrange(len(inside))
         j = rng.randrange(len(outside))
         swapped = bits ^ (1 << inside[i]) ^ (1 << outside[j])
-        candidate = _backend.count_chains(n, k, swapped)
+        candidate = count_k_chains(Family(n, swapped), k)
         delta = candidate - current
         if delta <= 0 or rng.random() < math.exp(-delta / temperature):
             bits = swapped

@@ -82,6 +82,32 @@ def test_count_malformed_family(tmp_path, capsys):
     assert "element 4" in err
 
 
+def test_count_non_utf8_family_is_format_error(tmp_path, capsys):
+    path = tmp_path / "latin1.fam"
+    path.write_bytes("n=3\n# caf\u00e9\n1 2\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "count", "--k", "2", "--family", str(path))
+    assert code == 5
+    assert out == ""
+    assert "not UTF-8" in err
+
+
+def test_bound_checks_k_before_sigma(capsys):
+    code, out, err = run_cli(capsys, "bound", "--n", "4", "--k", "9", "--x", "1")
+    assert code == 3
+    assert out == ""
+    # the message names the k the user passed, not sigma's k - 1
+    assert "k must be in [2, 5], got 9" in err
+
+
+def test_bound_rejects_family_larger_than_lattice(capsys):
+    # sigma(4, 1) + x sets must fit in 2^4 = 16, so x <= 10
+    assert run_json(capsys, "bound", "--n", "4", "--k", "2", "--x", "10")["bound"] == 30
+    code, out, err = run_cli(capsys, "bound", "--n", "4", "--k", "2", "--x", "99")
+    assert code == 3
+    assert out == ""
+    assert "x must be in [0, 10], got 99" in err
+
+
 def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
@@ -213,6 +239,7 @@ def test_console_entry_point_subprocess():
 
 
 def test_big_integers_serialized_as_strings(capsys):
-    payload = run_json(capsys, "bound", "--n", "20", "--k", "21", "--x", "10")
-    # 10 * 20! exceeds the 53-bit float-safe range
-    assert payload["bound"] == str(10 * supersat_bound(20, 21, 1))
+    # k = n + 1 leaves room for a single extra set: 2^20 - sigma(20, 20) = 1
+    payload = run_json(capsys, "bound", "--n", "20", "--k", "21", "--x", "1")
+    # 20! exceeds the 53-bit float-safe range
+    assert payload["bound"] == str(supersat_bound(20, 21, 1))

@@ -11,6 +11,7 @@ from supersat.core import (
     MissingHeader,
     binom,
     build_b_family,
+    check_ground_set,
     elements_of_word,
     level_words,
     middle_levels,
@@ -138,6 +139,15 @@ def test_family_validation():
     fam = Family.from_words(3, [0, 0b011])
     assert fam.size() == 2
     assert 0 in fam and 0b011 in fam and 0b111 not in fam
+
+
+def test_ground_set_rejects_bool():
+    check_ground_set(1)
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="ground-set size"):
+            check_ground_set(flag)
+    with pytest.raises(ValueError):
+        Family(True, 0b11)
 
 
 def test_parse_family_basic():

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supersat.core import Family, binom, build_b_family, sigma
 from supersat.counting import (
@@ -18,6 +20,20 @@ def random_family(rng, n, size=None):
     if size is None:
         return Family(n, rng.getrandbits(1 << n))
     return Family.from_words(n, rng.sample(range(1 << n), size))
+
+
+def enumerate_chains(fam, k):
+    """Every strict k-chain of the family as a tuple, smallest set first."""
+    members = list(fam.words())
+    chains = [(w,) for w in members]
+    for _ in range(k - 1):
+        chains = [c + (w,) for c in chains for w in members if w != c[-1] and w & c[-1] == c[-1]]
+    return chains
+
+
+def relabel(word, perm):
+    """Image of a subset word under the element permutation i -> perm[i]."""
+    return sum(1 << image for i, image in enumerate(perm) if word >> i & 1)
 
 
 def test_middle_family_plus_cover_set():
@@ -145,3 +161,37 @@ def test_endpoint_sums_recover_total():
         total = count_k_chains(fam, k)
         assert sum(count_chains_with_min_endpoint(fam, k, w) for w in fam.words()) == total
         assert sum(count_chains_with_max_endpoint(fam, k, w) for w in fam.words()) == total
+
+
+def test_endpoint_counts_match_enumeration():
+    rng = random.Random(23)
+    for _ in range(25):
+        n = rng.randint(1, 6)
+        fam = random_family(rng, n)
+        for k in range(1, n + 3):
+            chains = enumerate_chains(fam, k)
+            lows = Counter(chain[0] for chain in chains)
+            highs = Counter(chain[-1] for chain in chains)
+            for w in fam.words():
+                assert count_chains_with_min_endpoint(fam, k, w) == lows[w]
+                assert count_chains_with_max_endpoint(fam, k, w) == highs[w]
+
+
+@st.composite
+def family_cases(draw):
+    n = draw(st.integers(1, 6))
+    fam = Family(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
+    return fam, draw(st.integers(1, n + 2)), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_cases())
+def test_count_invariant_under_complement_and_permutation(case):
+    fam, k, perm = case
+    full = (1 << fam.n) - 1
+    complemented = Family.from_words(fam.n, (full ^ w for w in fam.words()))
+    permuted = Family.from_words(fam.n, (relabel(w, perm) for w in fam.words()))
+    count = count_k_chains(fam, k)
+    assert count == count_k_chains_naive(fam, k)
+    assert count_k_chains(complemented, k) == count
+    assert count_k_chains(permuted, k) == count
