@@ -1,15 +1,17 @@
-"""Subset-lattice basics: subsets as bit words, families as bitsets,
+"""Subset-lattice basics: subsets as bit words, families of subsets,
 binomials, middle-level families, and the family text format.
 
 A subset of [n] = {1, ..., n} is an n-bit integer word with bit i-1 set
-iff element i is in the subset.  A family is an immutable 2^n-bit
-membership bitset indexed by subset word.
+iff element i is in the subset.  A family's identity is a 2^n-bit membership
+int; `Family.mask` holds the same membership as one 0/1 byte per subset word.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
 # The chain-count kernel holds a few lists of 2^n exact ints and makes
@@ -112,10 +114,9 @@ class LevelInterval(NamedTuple):
 
 @dataclass(frozen=True)
 class Family:
-    """Set family over [n] as a 2^n-bit membership bitset.
-
-    Bit s of `members` is set iff the subset with word s belongs to the
-    family.  Immutable and safe to share across threads.
+    """Set family over [n]: bit s of `members`, the hashable identity, and
+    byte s of `mask` are 1 iff the subset with word s belongs to the family.
+    Immutable and safe to share across threads.
     """
 
     n: int
@@ -127,12 +128,19 @@ class Family:
             raise ValueError("membership bitset does not fit the 2^n subsets")
 
     @classmethod
+    def from_mask(cls, n: int, mask: bytes | bytearray) -> "Family":
+        """The family whose subset word w is a member iff mask[w] is 1."""
+        check_ground_set(n)
+        mask = bytes(mask)
+        if len(mask) != 1 << n or mask.translate(None, b"\0\1"):
+            raise ValueError(f"mask must hold one 0/1 byte for each of the {1 << n} subsets")
+        family = cls(n, int(mask[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2))
+        family.__dict__["mask"] = mask  # fills the cache of the `mask` property
+        return family
+
+    @classmethod
     def from_words(cls, n: int, words: Iterable[int]) -> "Family":
-        bits = 0
-        for w in words:
-            check_word(w, n)
-            bits |= 1 << w
-        return cls(n, bits)
+        return cls.empty(n).with_words(words)
 
     @classmethod
     def empty(cls, n: int) -> "Family":
@@ -142,26 +150,28 @@ class Family:
     def full(cls, n: int) -> "Family":
         return cls(n, (1 << (1 << n)) - 1)
 
+    @cached_property
+    def mask(self) -> bytes:
+        """One 0/1 membership byte per subset word, read once from `members`."""
+        digits = bin(self.members)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+        return digits + bytes((1 << self.n) - len(digits))
+
     def size(self) -> int:
         return self.members.bit_count()
 
     def __contains__(self, word: int) -> bool:
-        return 0 <= word < (1 << self.n) and (self.members >> word) & 1 == 1
+        return 0 <= word < (1 << self.n) and self.mask[word] == 1
 
     def words(self) -> Iterator[int]:
         """Member subset words in ascending order."""
-        m = self.members
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return compress(range(1 << self.n), self.mask)
 
     def with_words(self, words: Iterable[int]) -> "Family":
-        bits = self.members
+        mask = bytearray(self.mask)
         for w in words:
             check_word(w, self.n)
-            bits |= 1 << w
-        return Family(self.n, bits)
+            mask[w] = 1
+        return Family.from_mask(self.n, mask)
 
 
 def middle_levels(n: int, k: int, variant: str = "floor") -> LevelInterval:
@@ -193,11 +203,11 @@ def sigma(n: int, k: int) -> int:
 def build_b_family(n: int, k: int, variant: str = "floor") -> Family:
     """Family of all subsets whose size falls in the k middle levels."""
     lo, hi = middle_levels(n, k, variant)
-    bits = 0
+    mask = bytearray(1 << n)
     for lvl in range(lo, hi + 1):
         for w in level_words(n, lvl):
-            bits |= 1 << w
-    return Family(n, bits)
+            mask[w] = 1
+    return Family.from_mask(n, mask)
 
 
 def format_word(word: int) -> str:
@@ -213,15 +223,21 @@ def serialize_family(family: Family) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decimal(token: str) -> int:
+    """ASCII digits as an int, refusing the signs, `_` and non-ASCII digits int() takes."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_family(text: str) -> Family:
     """Parse the family file format.
 
-    First non-comment line is `n=<int>`; each later line is one subset as
-    space-separated elements of [1, n] (any order) or `-` for the empty
-    set.  `#` starts a comment.  Duplicate subsets are rejected.
+    First non-comment line is `n=<decimal>`; each later line is one subset
+    as space-separated decimal elements of [1, n] (any order) or `-` for
+    the empty set.  `#` starts a comment.  Duplicate subsets are rejected.
     """
     n = None
-    bits = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -230,21 +246,20 @@ def parse_family(text: str) -> Family:
             if not line.startswith("n="):
                 raise MissingHeader(f"line {lineno}: expected `n=<int>` header, got {line!r}")
             try:
-                n = int(line[2:])
+                n = _decimal(line[2:])
             except ValueError:
                 raise MissingHeader(f"line {lineno}: bad ground-set size {line[2:]!r}") from None
             try:
                 check_ground_set(n)
             except ValueError as exc:
                 raise MalformedLine(f"line {lineno}: {exc}") from None
+            mask = bytearray(1 << n)
             continue
-        if line == "-":
-            word = 0
-        else:
-            word = 0
+        word = 0
+        if line != "-":
             for part in line.split():
                 try:
-                    e = int(part)
+                    e = _decimal(part)
                 except ValueError:
                     raise MalformedLine(f"line {lineno}: {part!r} is not an element") from None
                 if not 1 <= e <= n:
@@ -253,9 +268,9 @@ def parse_family(text: str) -> Family:
                 if word & bit:
                     raise MalformedLine(f"line {lineno}: repeated element {e}")
                 word |= bit
-        if (bits >> word) & 1:
+        if mask[word]:
             raise DuplicateSubset(f"line {lineno}: duplicate subset {format_word(word)!r}")
-        bits |= 1 << word
+        mask[word] = 1
     if n is None:
         raise MissingHeader("missing `n=<int>` header")
-    return Family(n, bits)
+    return Family.from_mask(n, mask)

@@ -13,20 +13,10 @@ import operator
 from supersat.core import Family, binom, level
 from supersat.scd import Decomposition
 
-# bin() digits '0'/'1' to indicator bytes 0/1
-_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-
 
 def _check_k(k: int) -> None:
     if k < 1:
         raise ValueError(f"chain length k must be >= 1, got {k}")
-
-
-def _indicator(family: Family) -> bytes:
-    """Membership of every subset word, one 0/1 byte per word, read once from
-    the bitset in linear time."""
-    bits = bin(family.members)[:1:-1].encode().translate(_DIGITS)
-    return bits + bytes((1 << family.n) - len(bits))
 
 
 def _zeta(values: list[int]) -> None:
@@ -49,7 +39,7 @@ def _zeta(values: list[int]) -> None:
         bit = step
 
 
-def _chains_by_top(indicator: bytes, k: int) -> list[int]:
+def _chains_by_top(mask: bytes, k: int) -> list[int]:
     """Per subset word B, the number of strict k-chains of the family whose
     largest set is B (0 when B is not a member).
 
@@ -57,11 +47,11 @@ def _chains_by_top(indicator: bytes, k: int) -> list[int]:
     computed as the subset-zeta transform of f_{j-1} minus f_{j-1}, masked to
     the family: O(k * n * 2^n) additions on exact ints.
     """
-    tops = list(indicator)
+    tops = list(mask)
     for _ in range(k - 1):
         below = tops[:]
         _zeta(below)
-        tops = [a - b if member else 0 for a, b, member in zip(below, tops, indicator)]
+        tops = [a - b if member else 0 for a, b, member in zip(below, tops, mask)]
         del below  # free it before the next level copies tops, to bound peak memory
     return tops
 
@@ -75,7 +65,7 @@ def count_k_chains(family: Family, k: int) -> int:
     _check_k(k)
     if k > family.n + 1:
         return 0
-    return sum(_chains_by_top(_indicator(family), k))
+    return sum(_chains_by_top(family.mask, k))
 
 
 def count_k_chains_naive(family: Family, k: int) -> int:
@@ -120,12 +110,12 @@ def count_chains_with_min_endpoint(family: Family, k: int, word: int) -> int:
     """k-chains of the family whose smallest set is `word`.
 
     Complementing every set reverses inclusion and sends word w to index
-    2^n - 1 - w, so these are the top counts of the reversed indicator.
+    2^n - 1 - w, so these are the top counts of the reversed mask.
     """
     _check_endpoint(family, k, word)
     if k > family.n + 1:
         return 0
-    reversed_tops = _chains_by_top(_indicator(family)[::-1], k)
+    reversed_tops = _chains_by_top(family.mask[::-1], k)
     return reversed_tops[(1 << family.n) - 1 - word]
 
 
@@ -134,7 +124,7 @@ def count_chains_with_max_endpoint(family: Family, k: int, word: int) -> int:
     _check_endpoint(family, k, word)
     if k > family.n + 1:
         return 0
-    return _chains_by_top(_indicator(family), k)[word]
+    return _chains_by_top(family.mask, k)[word]
 
 
 def _check_endpoint(family: Family, k: int, word: int) -> None:

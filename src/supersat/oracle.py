@@ -131,7 +131,7 @@ def centered_family(n: int, m: int, mirror_partial: bool = False) -> Family:
     """
     check_ground_set(n)
     _check_size(n, m)
-    bits = 0
+    words: list[int] = []
     remaining = m
     order = centered_level_order(n)
     for idx, row in enumerate(order):
@@ -139,16 +139,14 @@ def centered_family(n: int, m: int, mirror_partial: bool = False) -> Family:
             break
         size = binom(n, row)
         if remaining >= size:
-            for w in level_words(n, row):
-                bits |= 1 << w
+            words.extend(level_words(n, row))
             remaining -= size
             continue
         if mirror_partial:
             row = _mirror_row(n, order[:idx], row, remaining)
-        for w in colex_smallest(n, row, remaining):
-            bits |= 1 << w
+        words.extend(colex_smallest(n, row, remaining))
         remaining = 0
-    return Family(n, bits)
+    return Family.from_words(n, words)
 
 
 def _mirror_row(n: int, filled: list[int], row: int, remaining: int) -> int:
@@ -186,15 +184,15 @@ def min_chain_count_heuristic(
         {centered_family(n, m), centered_family(n, m, mirror_partial=True)},
         key=lambda fam: (count_k_chains(fam, k), fam.members),
     )
-    best_bits = bits = start.members
+    best = family = start
     best_count = current = count_k_chains(start, k)
     space = 1 << n
     if m == 0 or m == space or iterations == 0 or best_count == 0:
-        return OracleResult(n, k, m, best_count, Family(n, best_bits), False)
+        return OracleResult(n, k, m, best_count, best, False)
 
     rng = random.Random(seed)
-    inside = [w for w in range(space) if (bits >> w) & 1]
-    outside = [w for w in range(space) if not (bits >> w) & 1]
+    inside = list(start.words())
+    outside = [w for w in range(space) if not start.mask[w]]
     t_start = max(1.0, best_count / 4)
     t_end = 0.01
     cooling = (t_end / t_start) ** (1.0 / max(1, iterations - 1))
@@ -202,19 +200,20 @@ def min_chain_count_heuristic(
     for _ in range(iterations):
         i = rng.randrange(len(inside))
         j = rng.randrange(len(outside))
-        swapped = bits ^ (1 << inside[i]) ^ (1 << outside[j])
-        candidate = count_k_chains(Family(n, swapped), k)
+        mask = bytearray(family.mask)
+        mask[inside[i]], mask[outside[j]] = 0, 1
+        swapped = Family.from_mask(n, mask)
+        candidate = count_k_chains(swapped, k)
         delta = candidate - current
         if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-            bits = swapped
-            current = candidate
+            family, current = swapped, candidate
             inside[i], outside[j] = outside[j], inside[i]
             if current < best_count:
-                best_count, best_bits = current, bits
+                best_count, best = current, swapped
                 if best_count == 0:
                     break
         temperature *= cooling
-    return OracleResult(n, k, m, best_count, Family(n, best_bits), False)
+    return OracleResult(n, k, m, best_count, best, False)
 
 
 @dataclass(frozen=True)

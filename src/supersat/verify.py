@@ -44,8 +44,7 @@ class Check:
 def _random_family(rng: random.Random, n: int, size: int | None = None) -> Family:
     space = 1 << n
     if size is None:
-        bits = rng.getrandbits(space)
-        return Family(n, bits)
+        return Family(n, rng.getrandbits(space))
     return Family.from_words(n, rng.sample(range(space), size))
 
 
@@ -329,8 +328,4 @@ SUITES = {
 def run_suite(name: str, seed: int = 2024) -> list[Check]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if name == "scd":
-        return scd_suite(seed=seed)
-    if name == "counting":
-        return counting_suite(seed=seed)
-    return theorem_suite(seed=seed)
+    return SUITES[name](seed=seed)

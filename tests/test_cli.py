@@ -91,6 +91,15 @@ def test_count_non_utf8_family_is_format_error(tmp_path, capsys):
     assert "not UTF-8" in err
 
 
+def test_count_non_decimal_element_is_format_error(tmp_path, capsys):
+    path = tmp_path / "underscore.fam"
+    path.write_text("n=12\n1_0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "count", "--k", "2", "--family", str(path))
+    assert code == 5
+    assert out == ""
+    assert "'1_0' is not an element" in err
+
+
 def test_bound_checks_k_before_sigma(capsys):
     code, out, err = run_cli(capsys, "bound", "--n", "4", "--k", "9", "--x", "1")
     assert code == 3

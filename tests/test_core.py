@@ -141,6 +141,49 @@ def test_family_validation():
     assert 0 in fam and 0b011 in fam and 0b111 not in fam
 
 
+def test_mask_round_trips_through_from_mask():
+    rng = random.Random(5)
+    for n in range(1, 11):
+        for fam in (Family.empty(n), Family.full(n), Family(n, rng.getrandbits(1 << n))):
+            assert len(fam.mask) == 1 << n
+            assert all(fam.mask[w] == (fam.members >> w) & 1 for w in range(1 << n))
+            assert Family.from_mask(n, fam.mask) == fam
+            assert Family.from_mask(n, bytearray(fam.mask)) == fam
+
+
+def test_from_mask_rejects_a_bad_mask():
+    for n, mask in ((3, bytes(7)), (3, bytes(9)), (1, b""), (2, b"\x00\x02\x00\x00")):
+        with pytest.raises(ValueError, match="mask"):
+            Family.from_mask(n, mask)
+    with pytest.raises(ValueError):
+        Family.from_mask(0, b"\x01")
+
+
+def test_from_mask_keeps_its_own_copy():
+    buf = bytearray(4)
+    fam = Family.from_mask(2, buf)
+    buf[1] = 1
+    assert 1 not in fam and fam.mask == bytes(4) and fam.size() == 0
+
+
+def test_words_ascend_and_rebuild_the_members():
+    rng = random.Random(6)
+    for n in range(1, 11):
+        fam = Family(n, rng.getrandbits(1 << n))
+        words = list(fam.words())
+        assert words == sorted(set(words))
+        assert sum(1 << w for w in words) == fam.members
+        assert all(w in fam for w in words)
+
+
+def test_contains_is_false_outside_the_lattice():
+    for n in range(1, 6):
+        full = Family.full(n)
+        assert 0 in full and (1 << n) - 1 in full
+        for word in (-1, -(1 << n), 1 << n, (1 << n) + 1):
+            assert word not in full
+
+
 def test_ground_set_rejects_bool():
     check_ground_set(1)
     for flag in (True, False):
@@ -177,6 +220,19 @@ def test_parse_family_errors():
         parse_family("n=3\n1 1\n")
     with pytest.raises(MalformedLine):
         parse_family("n=99\n")
+    # int() would read these; the format allows ASCII decimal digits only
+    for text in (
+        "n=12\n1_0\n",
+        "n=4\n+3 \u0662\n",
+        "n=4\n\u0662\n",
+        "n=4\n\u00b2\n",
+        "n=4\n3 -1\n",
+    ):
+        with pytest.raises(MalformedLine):
+            parse_family(text)
+    for text in ("n=1_2\n1\n", "n=+4\n", "n=\u0664\n", "n= 4\n"):
+        with pytest.raises(MissingHeader):
+            parse_family(text)
 
 
 def test_serialize_round_trip_on_built_family():

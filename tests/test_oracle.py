@@ -1,7 +1,7 @@
 import pytest
 
 from supersat.core import Family, sigma
-from supersat.counting import count_k_chains
+from supersat.counting import count_k_chains, count_k_chains_naive
 from supersat.bounds import supersat_bound, tight_x_max, build_extremal_family
 from supersat.oracle import (
     centered_family,
@@ -53,6 +53,18 @@ def test_exact_minimum_dominates_bound():
         for m in range(17):
             lower = supersat_bound(4, k, max(0, m - threshold))
             assert min_chain_count_exact(4, k, m).min_count >= lower
+
+
+def test_exact_minimum_meets_bound_over_the_full_surplus_range():
+    for n in range(1, 5):
+        for k in range(2, n + 2):
+            threshold = sigma(n, k - 1)
+            for x in range((1 << n) - threshold + 1):
+                found = min_chain_count_exact(n, k, threshold + x).min_count
+                bound = supersat_bound(n, k, x)
+                assert found >= bound, (n, k, x)
+                if x <= tight_x_max(n, k):
+                    assert found == bound, (n, k, x)
 
 
 def test_exact_mode_rejects_large_n():
@@ -137,6 +149,16 @@ def test_heuristic_never_beats_exact():
             exact = min_chain_count_exact(4, k, m).min_count
             found = min_chain_count_heuristic(4, k, m, seed=5, iterations=300).min_count
             assert found >= exact
+
+
+def test_heuristic_witness_recounts_and_never_beats_exact():
+    for n in range(1, 5):
+        for k in range(1, n + 3):
+            for m in range((1 << n) + 1):
+                result = min_chain_count_heuristic(n, k, m, seed=m, iterations=100)
+                assert result.witness.size() == m, (n, k, m)
+                assert result.min_count == count_k_chains_naive(result.witness, k), (n, k, m)
+                assert result.min_count >= min_chain_count_exact(n, k, m).min_count, (n, k, m)
 
 
 def test_heuristic_rejects_large_n():
