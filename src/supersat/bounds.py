@@ -210,15 +210,19 @@ def min_max_yz_verification(n: int, k: int) -> MinMaxYZReport:
     _check_nk(n, k)
     closed = min_max_yz(n, k)
     predicted = min_max_yz_minimizer(n, k)
-    exhaustive_min, exhaustive_argmin = min_max_yz_exhaustive(n, k)
+    exhaustive_min: Optional[int] = None
+    exhaustive_argmin: tuple[int, ...] = ()
     span_free: Optional[int] = None
     below = []
     for levels in combinations(range(n + 1), k):
         value = max(yz(n, levels))
+        if exhaustive_min is None or value < exhaustive_min:
+            exhaustive_min, exhaustive_argmin = value, levels
         if levels[0] > 0 or levels[-1] < n:
             span_free = value if span_free is None else min(span_free, value)
         if value < closed:
             below.append(levels)
+    assert exhaustive_min is not None
     # only k = n+1 leaves no span-free tuple, and there the single tuple matches
     return MinMaxYZReport(
         n=n,

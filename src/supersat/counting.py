@@ -3,7 +3,9 @@ decomposition chain, and endpoint-pinned counts.
 
 Every count of chains inside a family comes from one kernel, `_chains_by_top`:
 a subset-zeta dynamic program over the 2^n subset words in plain Python
-ints, so counts are exact with no overflow to detect.
+ints, so counts are exact with no overflow to detect.  Its transform `_zeta`
+also serves the exhaustive n <= 4 sweep in `supersat.oracle`, run once over
+the lattice of all families.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ def _check_k(k: int) -> None:
         raise ValueError(f"chain length k must be >= 1, got {k}")
 
 
-def _zeta(values: list[int]) -> None:
+def _zeta(values: list[int] | bytearray) -> None:
     """In-place subset-sum transform: values[B] becomes the sum of values[A]
     over every A contained in B.  One pass per bit; each pass adds the lower
     half of every block of width 2*bit onto its upper half, by strided slices
-    while there are more blocks than offsets and by contiguous blocks after."""
+    while there are more blocks than offsets and by contiguous blocks after.
+    A bytearray works too, and raises ValueError rather than wrap if a sum
+    exceeds 255."""
     add = operator.add
     size = len(values)
     bit = 1

@@ -191,6 +191,13 @@ def test_closed_form_is_sharp_off_full_span_tuples():
             assert all(t[0] == 0 and t[-1] == n for t in report.below_closed_form), (n, k)
 
 
+def test_verification_report_agrees_with_exhaustive_minimum():
+    for n in range(1, 10):
+        for k in range(2, n + 2):
+            report = min_max_yz_verification(n, k)
+            assert (report.exhaustive_min, report.exhaustive_argmin) == min_max_yz_exhaustive(n, k)
+
+
 def test_full_span_pair_dips_below_closed_form():
     exhaustive_min, argmin = min_max_yz_exhaustive(4, 2)
     assert (exhaustive_min, argmin) == (1, (0, 4))

@@ -200,6 +200,15 @@ def test_kleitman_table(capsys):
     assert all(line.split("\t")[4] == "true" for line in lines[1:])
 
 
+def test_kleitman_rejects_negative_iterations(capsys):
+    # the exact rows (n = 4) and the rows the construction settles (n = 5,
+    # k = 7) never reach the annealer, so the report checks it up front
+    for n, k in (("4", "2"), ("5", "7")):
+        code, out, err = run_cli(capsys, "kleitman", "--n", n, "--k", k, "--iters", "-3")
+        assert (code, out) == (3, ""), (n, k)
+        assert "iterations must be nonnegative" in err
+
+
 def test_kleitman_json(capsys):
     payload = run_json(capsys, "kleitman", "--n", "3", "--k", "2", "--json")
     assert payload["n"] == 3

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from supersat.core import Family, binom, build_b_family, sigma
 from supersat.counting import (
+    _zeta,
     count_chains_with_max_endpoint,
     count_chains_with_min_endpoint,
     count_included_chains,
@@ -106,6 +107,19 @@ def test_full_lattice_count_matches_level_formula():
                 by_levels += ways
             assert count_k_chains(full, k) == by_levels
             assert count_k_chains_naive(full, k) == by_levels
+
+
+def test_zeta_on_bytes_matches_submask_sums_and_never_wraps():
+    rng = random.Random(5)
+    for n in range(7):
+        values = [rng.randrange(4) for _ in range(1 << n)]
+        expected = [sum(v for a, v in enumerate(values) if a & b == a) for b in range(1 << n)]
+        as_bytes = bytearray(values)
+        _zeta(values)
+        _zeta(as_bytes)
+        assert values == list(as_bytes) == expected
+    with pytest.raises(ValueError):
+        _zeta(bytearray([200, 100]))
 
 
 def test_included_chains_basics():

@@ -41,6 +41,26 @@ def test_exact_witnesses_recount_to_min():
                 assert count_k_chains(result.witness, k) == result.min_count
 
 
+def test_exact_sweep_matches_naive_enumeration():
+    # independent of the zeta kernel: every family of [n], n <= 3, recounted
+    # by nested enumeration; the first family of each size attaining the
+    # minimum in bitset order is the documented witness
+    for n in range(1, 4):
+        for k in range(1, n + 3):
+            best = {}
+            for members in range(1 << (1 << n)):
+                family = Family(n, members)
+                count = count_k_chains_naive(family, k)
+                m = family.size()
+                if m not in best or count < best[m][0]:
+                    best[m] = (count, family)
+            for m, (count, family) in best.items():
+                result = min_chain_count_exact(n, k, m)
+                assert (result.min_count, result.witness) == (count, family), (n, k, m)
+            free = max(m for m, (count, _) in best.items() if count == 0)
+            assert max_free_family(n, k) == (free, best[free][1]), (n, k)
+
+
 def test_exact_minimum_is_monotone_in_size():
     for k in (2, 3, 4):
         values = [min_chain_count_exact(4, k, m).min_count for m in range(17)]
