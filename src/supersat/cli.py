@@ -22,7 +22,7 @@ from supersat.core import (
     serialize_family,
     sigma,
 )
-from supersat.scd import Permutation, permute_decomposition, scd_bracketing, scd_inductive, validate_scd
+from supersat.scd import Permutation, permute_decomposition, scd_inductive, validate_scd
 from supersat.counting import count_k_chains
 from supersat.bounds import (
     bound_report,
@@ -99,10 +99,6 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _build_scd(n: int, method: str):
-    return scd_inductive(n) if method == "inductive" else scd_bracketing(n)
-
-
 def _parse_permutation(text: str, n: int) -> Permutation:
     try:
         image = tuple(int(part) for part in text.split(","))
@@ -114,7 +110,7 @@ def _parse_permutation(text: str, n: int) -> Permutation:
 
 
 def _cmd_scd(args) -> int:
-    dec = _build_scd(args.n, args.method)
+    dec = scd_inductive(args.n)
     if args.permute:
         dec = permute_decomposition(dec, _parse_permutation(args.permute, args.n))
     if args.validate:
@@ -160,7 +156,7 @@ def _cmd_nperm(args) -> int:
             while word.bit_count() < lvl:
                 word |= 1 << word.bit_count()
             chain.append(word)
-        enumerated = n_permutations_enumerate(_build_scd(args.n, "inductive"), chain)
+        enumerated = n_permutations_enumerate(scd_inductive(args.n), chain)
         payload["enumerated"] = enumerated
         payload["agree"] = payload["agree"] and enumerated == payload["factorial_form"]
     _emit(payload)
@@ -168,6 +164,8 @@ def _cmd_nperm(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.iters < 0:
+        raise ValueError("iterations must be nonnegative")
     if args.heuristic:
         result = oracle_mod.min_chain_count_heuristic(
             args.n, args.k, args.size, seed=args.seed, iterations=args.iters
@@ -264,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scd", help="dump or validate a symmetric chain decomposition")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=("inductive", "bracketing"), default="inductive")
+    p.add_argument("--method", choices=("inductive", "bracketing"), default="inductive",
+                   help="either name gives the one SCD: bracket matching yields the inductive one")
     p.add_argument("--permute", help="comma-separated images of 1..n")
     p.add_argument("--validate", action="store_true", help="emit a JSON validation report")
     p.set_defaults(func=_cmd_scd)

@@ -17,7 +17,7 @@ from itertools import combinations
 
 from supersat.core import Family, binom, check_ground_set, level_words
 from supersat.bounds import added_row_level, colex_smallest
-from supersat.counting import _zeta, count_k_chains
+from supersat.counting import _chains_by_top, _zeta, count_k_chains
 
 EXACT_N_MAX = 4
 HEURISTIC_N_MAX = 10
@@ -166,13 +166,15 @@ def min_chain_count_heuristic(
         {centered_family(n, m), centered_family(n, m, mirror_partial=True)},
         key=lambda fam: (count_k_chains(fam, k), fam.members),
     )
-    best = family = start
     best_count = current = count_k_chains(start, k)
     space = 1 << n
     if m == 0 or m == space or iterations == 0 or best_count == 0:
-        return OracleResult(n, k, m, best_count, best, False)
+        return OracleResult(n, k, m, best_count, start, False)
 
+    # one working mask, swapped in place and swapped back on reject
     rng = random.Random(seed)
+    mask = bytearray(start.mask)
+    best_mask = start.mask
     inside = list(start.words())
     outside = [w for w in range(space) if not start.mask[w]]
     t_start = max(1.0, best_count / 4)
@@ -182,20 +184,20 @@ def min_chain_count_heuristic(
     for _ in range(iterations):
         i = rng.randrange(len(inside))
         j = rng.randrange(len(outside))
-        mask = bytearray(family.mask)
         mask[inside[i]], mask[outside[j]] = 0, 1
-        swapped = Family.from_mask(n, mask)
-        candidate = count_k_chains(swapped, k)
+        candidate = sum(_chains_by_top(mask, k))
         delta = candidate - current
         if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-            family, current = swapped, candidate
+            current = candidate
             inside[i], outside[j] = outside[j], inside[i]
             if current < best_count:
-                best_count, best = current, swapped
+                best_count, best_mask = current, bytes(mask)
                 if best_count == 0:
                     break
+        else:
+            mask[inside[i]], mask[outside[j]] = 1, 0
         temperature *= cooling
-    return OracleResult(n, k, m, best_count, best, False)
+    return OracleResult(n, k, m, best_count, Family.from_mask(n, best_mask), False)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
-"""Symmetric chain decompositions of the subset lattice: the inductive and
-the bracket-matching constructions, validation, and the permutation action
-on decompositions."""
+"""Symmetric chain decompositions of the subset lattice: the inductive
+construction (which the bracket-matching rule reproduces), the per-word
+bracket-matching chain, validation, and the permutation action on
+decompositions."""
 
 from __future__ import annotations
 
@@ -137,13 +138,21 @@ def bracketing_chain_of(n: int, word: int) -> Chain:
 
 
 def scd_bracketing(n: int) -> Decomposition:
-    """Symmetric chain decomposition from the bracket-matching rule."""
-    check_ground_set(n)
-    chains: dict[int, Chain] = {}
-    for word in range(1 << n):
-        ch = bracketing_chain_of(n, word)
-        chains.setdefault(ch[0], ch)
-    return Decomposition.from_chains(n, chains.values())
+    """Symmetric chain decomposition from the bracket-matching rule; it is
+    the decomposition `scd_inductive` builds, so it is built that way.
+
+    Why the rules agree, by induction on n.  Read element i as ')' when
+    present and '(' when absent, and add element m as the rightmost bracket
+    to a word S whose bracket chain over [m-1] is (S_0, ..., S_t).  If m is
+    absent, its '(' is unmatched, so the chain through S gains S_t + m: the
+    first inductive child.  If m is present, its ')' matches the last
+    unmatched '(' of S when there is one, so the chain becomes (S_0 + m, ...,
+    S_{t-1} + m): the second child.  Otherwise S = S_t, the ')' stays
+    unmatched and S + m = S_t + m lies on the first child.  At n = 1 both
+    rules give the chain (empty, {1}).  `bracketing_chain_of` applies the
+    rule word by word and is the oracle this is checked against.
+    """
+    return scd_inductive(n)
 
 
 @dataclass(frozen=True)

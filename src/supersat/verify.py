@@ -4,12 +4,14 @@ batch of module properties at desk scale and reports one Check per property."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from supersat.core import Family, binom, sigma
 from supersat.scd import (
     Permutation,
+    bracketing_chain_of,
     permute_decomposition,
     scd_bracketing,
     scd_inductive,
@@ -83,15 +85,11 @@ def scd_suite(n_max: int = 8, seed: int = 2024) -> list[Check]:
     census_ok = True
     detail = ""
     for n in range(1, n_max + 1):
-        for dec in (scd_inductive(n), scd_bracketing(n)):
-            seen: dict[int, int] = {}
-            for ch in dec.chains:
-                lvl = min(w.bit_count() for w in ch)
-                seen[lvl] = seen.get(lvl, 0) + 1
-            for lvl, count in seen.items():
-                if count != binom(n, lvl) - binom(n, lvl - 1):
-                    census_ok = False
-                    detail = f"n={n}, min level {lvl}: {count} chains"
+        seen = Counter(min(w.bit_count() for w in ch) for ch in scd_inductive(n).chains)
+        for lvl, count in seen.items():
+            if count != binom(n, lvl) - binom(n, lvl - 1):
+                census_ok = False
+                detail = f"n={n}, min level {lvl}: {count} chains"
     checks.append(Check("min_level_census", census_ok, detail))
 
     pair_ok = True
@@ -134,15 +132,19 @@ def scd_suite(n_max: int = 8, seed: int = 2024) -> list[Check]:
             distinct_ok = False
     checks.append(Check("permuted_images_pairwise_distinct", distinct_ok))
 
-    same = [n for n in range(1, n_max + 1) if scd_inductive(n) == scd_bracketing(n)]
-    checks.append(
-        Check(
-            "constructions_comparison",
-            True,
-            f"inductive and bracketing chains coincide for n in {same}"
-            f" and differ for the rest of n <= {n_max}",
-        )
+    # the one construction against the bracket rule applied word by word
+    compare_ok = True
+    detail = (
+        f"inductive and bracketing chains coincide for n in {list(range(1, n_max + 1))}"
+        f" and differ for the rest of n <= {n_max}"
     )
+    for n in range(1, n_max + 1):
+        dec = scd_bracketing(n)
+        for w in range(1 << n):
+            want = bracketing_chain_of(n, w)
+            if compare_ok and (w not in dec.locator or dec.chains[dec.locator[w][0]] != want):
+                compare_ok, detail = False, f"n={n}, word {w}: not on its bracket chain {want}"
+    checks.append(Check("constructions_comparison", compare_ok, detail))
     return checks
 
 
@@ -214,14 +216,14 @@ def theorem_suite(seed: int = 2024, chains_per: int = 50) -> list[Check]:
     agree_ok = True
     detail = ""
     for n in (4, 5):
-        decs = (scd_inductive(n), scd_bracketing(n))
+        dec = scd_inductive(n)
         for k in range(1, 5):
             if k > n + 1:
                 continue
             for _ in range(chains_per):
                 chain = _random_chain(rng, n, k)
                 levels = tuple(w.bit_count() for w in chain)
-                enumerated = {n_permutations_enumerate(dec, chain) for dec in decs}
+                enumerated = {n_permutations_enumerate(dec, chain)}
                 closed = {n_permutations_factorial(n, levels), n_permutations_ratio(n, levels)}
                 if len(enumerated | closed) != 1:
                     agree_ok = False

@@ -236,6 +236,33 @@ def test_verify_theorem_reports_the_failing_yz_case(monkeypatch):
     assert check.detail.startswith("n=5, k=3: ")
 
 
+@pytest.mark.parametrize("heuristic", [(), ("--heuristic",)])
+def test_oracle_rejects_negative_iterations(capsys, heuristic):
+    argv = ("oracle", "--n", "4", "--k", "2", "--size", "7", "--iters", "-3", *heuristic)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "iterations must be nonnegative" in err
+
+
+def test_verify_scd_compares_against_the_bracket_rule(monkeypatch, capsys):
+    from supersat import scd, verify
+
+    def permuted(n):
+        dec = scd.scd_inductive(n)
+        if n < 2:
+            return dec
+        # a valid SCD, but not the one the bracket rule gives
+        return scd.permute_decomposition(dec, scd.Permutation((2, 1) + tuple(range(3, n + 1))))
+
+    monkeypatch.setattr(verify, "scd_bracketing", permuted)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "scd")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert checks["bracketing_valid_through_n8"]["ok"]
+    assert not checks["constructions_comparison"]["ok"]
+    assert checks["constructions_comparison"]["detail"].startswith("n=2, word ")
+
+
 def test_determinism_of_repeated_invocations(capsys):
     first = run_cli(capsys, "construct", "--n", "6", "--k", "2", "--x", "3")
     second = run_cli(capsys, "construct", "--n", "6", "--k", "2", "--x", "3")

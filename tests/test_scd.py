@@ -54,7 +54,7 @@ def test_bracketing_chain_counts_and_validity():
 
 
 def test_bracketing_chain_of_agrees_with_decomposition():
-    for n in range(1, 9):
+    for n in range(1, 13):
         dec = scd_bracketing(n)
         for word in range(1 << n):
             idx, pos = dec.locator[word]
@@ -185,9 +185,12 @@ def test_level_pair_chain_coverage():
 
 
 def test_decompositions_allow_comparison_between_constructions():
-    # not asserted equal in general; record agreement where it holds
-    agreement = {n: scd_inductive(n) == scd_bracketing(n) for n in range(1, 9)}
-    assert set(agreement.values()) <= {True, False}
+    # the bracket rule applied to every word, independently of any
+    # construction, yields exactly the inductive chains
+    for n in range(1, 15):
+        inductive = scd_inductive(n)
+        assert set(inductive.chains) == {bracketing_chain_of(n, w) for w in range(1 << n)}, n
+        assert scd_bracketing(n) == inductive, n
 
 
 def test_canonical_chain_order():
