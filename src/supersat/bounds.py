@@ -28,6 +28,9 @@ from supersat.scd import Decomposition
 # selector(n, level, count) -> `count` distinct subset words on that level
 Selector = Callable[[int, int, int], Iterable[int]]
 
+# n! relabelings at most 7! = 5040
+ENUMERATE_N_MAX = 7
+
 
 def _check_nk(n: int, k: int) -> None:
     check_ground_set(n)
@@ -103,6 +106,11 @@ def n_permutations_ratio(n: int, levels: Sequence[int]) -> int:
     return quotient
 
 
+def check_enumerable(n: int) -> None:
+    if n > ENUMERATE_N_MAX:
+        raise ValueError(f"factorial enumeration is capped at n = {ENUMERATE_N_MAX}")
+
+
 def n_permutations_enumerate(dec: Decomposition, chain: Sequence[int]) -> int:
     """Brute-force permutation count over all n! relabelings; n <= 7.
 
@@ -110,8 +118,7 @@ def n_permutations_enumerate(dec: Decomposition, chain: Sequence[int]) -> int:
     permutation count, so a single locator serves all n! checks.
     """
     n = dec.n
-    if n > 7:
-        raise ValueError("factorial enumeration is capped at n = 7")
+    check_enumerable(n)
     chain = tuple(chain)
     if not chain:
         raise ValueError("empty chain")

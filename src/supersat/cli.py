@@ -27,6 +27,7 @@ from supersat.counting import count_k_chains
 from supersat.bounds import (
     bound_report,
     build_extremal_family,
+    check_enumerable,
     n_permutations_enumerate,
     n_permutations_factorial,
     n_permutations_ratio,
@@ -156,6 +157,7 @@ def _cmd_nperm(args) -> int:
             while word.bit_count() < lvl:
                 word |= 1 << word.bit_count()
             chain.append(word)
+        check_enumerable(args.n)  # before building a decomposition it would not use
         enumerated = n_permutations_enumerate(scd_inductive(args.n), chain)
         payload["enumerated"] = enumerated
         payload["agree"] = payload["agree"] and enumerated == payload["factorial_form"]

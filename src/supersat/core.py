@@ -14,9 +14,9 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
-# The chain-count kernel holds a few lists of 2^n exact ints and makes
-# O(k * n * 2^n) additions; at n = 20 (a million subsets) a count takes
-# seconds.
+# The chain-count kernel holds a few packed ints of 2^n fields, each
+# bitlen((k+1)^n) bits rounded up to bytes, and makes O(k * n) big-int
+# operations on them; at n = 20 (a million subsets) a count takes seconds.
 MAX_N = 20
 
 VARIANTS = ("floor", "ceil")
@@ -236,41 +236,65 @@ def parse_family(text: str) -> Family:
     First non-comment line is `n=<decimal>`; each later line is one subset
     as space-separated decimal elements of [1, n] (any order) or `-` for
     the empty set.  `#` starts a comment.  Duplicate subsets are rejected.
+
+    Each token is looked up in a table of the n strings "1".."n"; a line
+    with any other token or a repeated element goes through `_line_word`,
+    which reads leading zeros and raises every format error.
     """
-    n = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    numbered = enumerate(text.splitlines(), start=1)
+    for lineno, raw in numbered:
         line = raw.split("#", 1)[0].strip()
-        if not line:
+        if line:
+            break
+    else:
+        raise MissingHeader("missing `n=<int>` header")
+    if not line.startswith("n="):
+        raise MissingHeader(f"line {lineno}: expected `n=<int>` header, got {line!r}")
+    try:
+        n = _decimal(line[2:])
+    except ValueError:
+        raise MissingHeader(f"line {lineno}: bad ground-set size {line[2:]!r}") from None
+    try:
+        check_ground_set(n)
+    except ValueError as exc:
+        raise MalformedLine(f"line {lineno}: {exc}") from None
+    bit_of = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__
+    mask = bytearray(1 << n)
+    for lineno, raw in numbered:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        parts = raw.split()
+        if not parts:
             continue
-        if n is None:
-            if not line.startswith("n="):
-                raise MissingHeader(f"line {lineno}: expected `n=<int>` header, got {line!r}")
-            try:
-                n = _decimal(line[2:])
-            except ValueError:
-                raise MissingHeader(f"line {lineno}: bad ground-set size {line[2:]!r}") from None
-            try:
-                check_ground_set(n)
-            except ValueError as exc:
-                raise MalformedLine(f"line {lineno}: {exc}") from None
-            mask = bytearray(1 << n)
-            continue
-        word = 0
-        if line != "-":
-            for part in line.split():
-                try:
-                    e = _decimal(part)
-                except ValueError:
-                    raise MalformedLine(f"line {lineno}: {part!r} is not an element") from None
-                if not 1 <= e <= n:
-                    raise ElementOutOfRange(f"line {lineno}: element {e} outside [1, {n}]")
-                bit = 1 << (e - 1)
-                if word & bit:
-                    raise MalformedLine(f"line {lineno}: repeated element {e}")
-                word |= bit
+        try:
+            word = sum(map(bit_of, parts))
+        except KeyError:
+            word = _line_word(parts, lineno, n)
+        else:
+            # distinct bits add without carries, so a repeat loses a bit
+            if word.bit_count() != len(parts):
+                word = _line_word(parts, lineno, n)
         if mask[word]:
             raise DuplicateSubset(f"line {lineno}: duplicate subset {format_word(word)!r}")
         mask[word] = 1
-    if n is None:
-        raise MissingHeader("missing `n=<int>` header")
     return Family.from_mask(n, mask)
+
+
+def _line_word(parts: list[str], lineno: int, n: int) -> int:
+    """The subset word of one body line's tokens, reading each as a decimal
+    element; raises on the first bad, out-of-range or repeated element."""
+    if parts == ["-"]:
+        return 0
+    word = 0
+    for part in parts:
+        try:
+            e = _decimal(part)
+        except ValueError:
+            raise MalformedLine(f"line {lineno}: {part!r} is not an element") from None
+        if not 1 <= e <= n:
+            raise ElementOutOfRange(f"line {lineno}: element {e} outside [1, {n}]")
+        bit = 1 << (e - 1)
+        if word & bit:
+            raise MalformedLine(f"line {lineno}: repeated element {e}")
+        word |= bit
+    return word

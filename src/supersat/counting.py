@@ -2,15 +2,15 @@
 decomposition chain, and endpoint-pinned counts.
 
 Every count of chains inside a family comes from one kernel, `_chains_by_top`:
-a subset-zeta dynamic program over the 2^n subset words in plain Python
-ints, so counts are exact with no overflow to detect.  Its transform `_zeta`
-also serves the exhaustive n <= 4 sweep in `supersat.oracle`, run once over
-the lattice of all families.
+a subset-zeta dynamic program over the 2^n subset words, each DP level held
+as one packed Python int with a fixed-width field per word.  The field width
+comes from an a-priori bound on every value the DP reaches (see
+`_chains_by_top`), so counts are exact with no overflow to detect.  Its
+transform `_zeta` also serves the exhaustive n <= 4 sweep in
+`supersat.oracle`, run once over the lattice of all families.
 """
 
 from __future__ import annotations
-
-import operator
 
 from supersat.core import Family, binom, level
 from supersat.scd import Decomposition
@@ -21,55 +21,101 @@ def _check_k(k: int) -> None:
         raise ValueError(f"chain length k must be >= 1, got {k}")
 
 
-def _zeta(values: list[int] | bytearray) -> None:
-    """In-place subset-sum transform: values[B] becomes the sum of values[A]
-    over every A contained in B.  One pass per bit; each pass adds the lower
-    half of every block of width 2*bit onto its upper half, by strided slices
-    while there are more blocks than offsets and by contiguous blocks after.
-    A bytearray works too, and raises ValueError rather than wrap if a sum
-    exceeds 255."""
-    add = operator.add
-    size = len(values)
-    bit = 1
-    while bit < size:
-        step = bit << 1
-        if bit < size // step:
-            for lo in range(bit):
-                values[lo + bit :: step] = map(add, values[lo + bit :: step], values[lo::step])
-        else:
-            for start in range(0, size, step):
-                mid = start + bit
-                values[mid : mid + bit] = map(add, values[mid : mid + bit], values[start:mid])
-        bit = step
+def _field_bytes(n: int, k: int) -> int:
+    """Bytes per field of the packed k-chain DP over [n]: bitlen((k+1)^n),
+    rounded up to whole bytes.  `_chains_by_top` proves it is enough."""
+    return ((k + 1) ** n).bit_length() + 7 >> 3
 
 
-def _chains_by_top(mask: bytes, k: int) -> list[int]:
+def _zeta(table: int, bits: int, width: int) -> int:
+    """Subset-sum transform of a packed table of 2^bits fields, `width`
+    bytes each, field i at bits [8*width*i, 8*width*(i+1)): field B becomes
+    the sum of fields A over every index A contained in B.
+
+    Pass b adds each field whose index has bit b clear onto its partner with
+    bit b set, with one mask, one shift and one addition on the whole int.
+    The caller guarantees every sum fits its field: a carry would spill into
+    the next field.
+    """
+    half = width
+    for b in range(bits):
+        # the mask selects the fields with bit b clear; built inside the
+        # expression, neither its bytes nor its int outlives the pass, which
+        # keeps peak memory down
+        table += (
+            table & int.from_bytes((b"\xff" * half + bytes(half)) * (1 << (bits - 1 - b)), "little")
+        ) << (half << 3)
+        half <<= 1
+    return table
+
+
+def _fold(table: int, bits: int, width: int) -> int:
+    """Sum of the 2^bits fields of a packed table, by adding its upper half
+    onto its lower half until one field is left.  The caller guarantees the
+    sum fits one field."""
+    size = (width << 3) << bits
+    for _ in range(bits):
+        size >>= 1
+        table = (table & ((1 << size) - 1)) + (table >> size)
+    return table
+
+
+def _field(table: int, width: int, index: int) -> int:
+    """Field `index` of a packed table of `width`-byte fields."""
+    return table >> ((width << 3) * index) & ((1 << (width << 3)) - 1)
+
+
+def _chains_by_top(mask: bytes | bytearray, k: int) -> tuple[int, int]:
     """Per subset word B, the number of strict k-chains of the family whose
-    largest set is B (0 when B is not a member).
+    largest set is B (0 when B is not a member), packed as field B of one int;
+    returns the table and its field width in bytes, `_field_bytes(n, k)`.
 
     Level j holds f_j(B) = sum of f_{j-1}(A) over members A strictly inside B,
-    computed as the subset-zeta transform of f_{j-1} minus f_{j-1}, masked to
-    the family: O(k * n * 2^n) additions on exact ints.
+    computed as `(_zeta(f_{j-1}) - f_{j-1}) & fam`, where `fam` has all-ones
+    fields at the members: O(k * n) operations on ints of 2^n fields.
+
+    Why no field ever carries or borrows:
+    - A j-chain A_1 < ... < A_j inside B is fixed by sending each element
+      of B to the first i with the element in A_i, or to j + 1 if none.  So
+      B holds at most (j + 1)^|B| <= (k + 1)^n j-chains.
+    - Every f_j(B) counts some of the j-chains with top B, and after any
+      zeta pass a field holds a partial sum of the (j-1)-chains inside B.
+      Both are at most (k + 1)^n, so no addition carries.
+    - zeta(f_{j-1}) - f_{j-1} is nonnegative in every field, since the
+      zeta sum at B includes the term A = B, so no subtraction borrows.
+    - The folded total, and every partial sum on the way, counts distinct
+      k-chains of the lattice, so it is at most (k + 1)^n as well.
+    - (k + 1)^n < 2^W for W = bitlen((k + 1)^n), so W-bit fields hold every
+      value; whole bytes let the table be built by byte slicing.
     """
-    tops = list(mask)
+    bits = (len(mask) - 1).bit_length()
+    width = _field_bytes(bits, k)
+    packed = bytearray(len(mask) * width)
+    packed[::width] = mask
+    tops = int.from_bytes(packed, "little")
+    del packed
+    fam = tops * ((1 << (width << 3)) - 1)
     for _ in range(k - 1):
-        below = tops[:]
-        _zeta(below)
-        tops = [a - b if member else 0 for a, b, member in zip(below, tops, mask)]
-        del below  # free it before the next level copies tops, to bound peak memory
-    return tops
+        tops = (_zeta(tops, bits, width) - tops) & fam
+    return tops, width
+
+
+def _count(mask: bytes | bytearray, k: int) -> int:
+    """Total number of strict k-chains of the family with membership `mask`."""
+    tops, width = _chains_by_top(mask, k)
+    return _fold(tops, (len(mask) - 1).bit_length(), width)
 
 
 def count_k_chains(family: Family, k: int) -> int:
     """Number of strict chains A_1 < ... < A_k with every set in the family.
 
-    Subset-zeta dynamic program in pure Python, O(k * n * 2^n) additions;
-    the counts are exact Python ints.
+    Packed subset-zeta dynamic program in pure Python, O(k * n) operations
+    on ints of 2^n fields of about n * log2(k + 1) bits; the count is exact.
     """
     _check_k(k)
     if k > family.n + 1:
         return 0
-    return sum(_chains_by_top(family.mask, k))
+    return _count(family.mask, k)
 
 
 def count_k_chains_naive(family: Family, k: int) -> int:
@@ -119,8 +165,7 @@ def count_chains_with_min_endpoint(family: Family, k: int, word: int) -> int:
     _check_endpoint(family, k, word)
     if k > family.n + 1:
         return 0
-    reversed_tops = _chains_by_top(family.mask[::-1], k)
-    return reversed_tops[(1 << family.n) - 1 - word]
+    return _field(*_chains_by_top(family.mask[::-1], k), (1 << family.n) - 1 - word)
 
 
 def count_chains_with_max_endpoint(family: Family, k: int, word: int) -> int:
@@ -128,7 +173,7 @@ def count_chains_with_max_endpoint(family: Family, k: int, word: int) -> int:
     _check_endpoint(family, k, word)
     if k > family.n + 1:
         return 0
-    return _chains_by_top(family.mask, k)[word]
+    return _field(*_chains_by_top(family.mask, k), word)
 
 
 def _check_endpoint(family: Family, k: int, word: int) -> None:

@@ -17,7 +17,7 @@ from itertools import combinations
 
 from supersat.core import Family, binom, check_ground_set, level_words
 from supersat.bounds import added_row_level, colex_smallest
-from supersat.counting import _chains_by_top, _zeta, count_k_chains
+from supersat.counting import _count, _zeta, count_k_chains
 
 EXACT_N_MAX = 4
 HEURISTIC_N_MAX = 10
@@ -46,21 +46,21 @@ def _exact_table(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     A k-chain lies in a family iff the 2^n-bit set of its words is a subset
     of the family's membership bitset.  So marking each k-chain of the full
-    lattice at the index of its word set, in a list over all 2^(2^n)
-    families, and running the subset-zeta transform on that list leaves
+    lattice at the index of its word set, in a table over all 2^(2^n)
+    families, and running the subset-zeta transform on that table leaves
     every family's k-chain count at its own index.  Returns (mins,
     witnesses) indexed by family size m; the witness is the smallest
     membership bitset attaining the minimum.
     """
     size = 1 << n
-    # B_4 holds at most 110 k-chains (k = 3), so every count fits a byte; a
-    # bytearray keeps the 2^16-entry table and the transform's slices small
-    counts = bytearray(1 << size)
+    marks = bytearray(1 << size)
     # ascending word tuples whose consecutive words nest are exactly the chains
     for chain in combinations(range(size), k):
         if all(a & b == a for a, b in zip(chain, chain[1:])):
-            counts[sum(1 << w for w in chain)] = 1
-    _zeta(counts)
+            marks[sum(1 << w for w in chain)] = 1
+    # B_4 holds at most 110 k-chains (k = 3), and every field of the
+    # transform counts some of them, so one-byte fields never carry
+    counts = _zeta(int.from_bytes(marks, "little"), size, 1).to_bytes(1 << size, "little")
     mins: list[int | None] = [None] * (size + 1)
     wits = [0] * (size + 1)
     for fam, cnt in enumerate(counts):
@@ -185,7 +185,7 @@ def min_chain_count_heuristic(
         i = rng.randrange(len(inside))
         j = rng.randrange(len(outside))
         mask[inside[i]], mask[outside[j]] = 0, 1
-        candidate = sum(_chains_by_top(mask, k))
+        candidate = _count(mask, k)
         delta = candidate - current
         if delta <= 0 or rng.random() < math.exp(-delta / temperature):
             current = candidate

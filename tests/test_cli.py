@@ -163,6 +163,18 @@ def test_nperm_payload(capsys):
     }
 
 
+def test_nperm_enumerate_rejects_large_n_before_building_the_scd(capsys, monkeypatch):
+    import supersat.cli as cli
+
+    def unused(n):
+        raise AssertionError(f"built the n = {n} decomposition")
+
+    monkeypatch.setattr(cli, "scd_inductive", unused)
+    code, out, err = run_cli(capsys, "nperm", "--n", "20", "--levels", "1,2", "--enumerate")
+    assert (code, out) == (3, "")
+    assert err == "error: factorial enumeration is capped at n = 7\n"
+
+
 def test_nperm_rejects_bad_levels(capsys):
     code, _, err = run_cli(capsys, "nperm", "--n", "4", "--levels", "2,2")
     assert code == 3

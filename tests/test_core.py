@@ -2,11 +2,14 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supersat.core import (
+    _line_word,
     DuplicateSubset,
     ElementOutOfRange,
     Family,
+    FamilyFormatError,
     MalformedLine,
     MissingHeader,
     binom,
@@ -235,6 +238,54 @@ def test_parse_family_errors():
             parse_family(text)
 
 
+# body lines of an n = 5 file: the token table misses or sees a repeated
+# bit in each, so the line goes to `_line_word`
+FALLBACK_LINES = [
+    ("03", None, None),
+    ("3 03", MalformedLine, "repeated element 3"),
+    ("1_0", MalformedLine, "'1_0' is not an element"),
+    ("+3", MalformedLine, "'+3' is not an element"),
+    ("\u0662", MalformedLine, "'\u0662' is not an element"),
+    ("\u00b2", MalformedLine, "'\u00b2' is not an element"),
+    ("-1", MalformedLine, "'-1' is not an element"),
+    ("0", ElementOutOfRange, "element 0 outside [1, 5]"),
+    ("6", ElementOutOfRange, "element 6 outside [1, 5]"),
+    ("1 1", MalformedLine, "repeated element 1"),
+]
+
+
+@pytest.mark.parametrize("line, error, detail", FALLBACK_LINES)
+def test_token_table_and_fallback_agree(line, error, detail):
+    # as the first body line, and after a line the token table reads
+    for lineno, text in ((2, f"n=5\n{line}\n"), (3, f"n=5\n1 2\n{line}\n")):
+        if error is None:
+            assert _line_word(line.split(), lineno, 5) == 0b100
+            assert 0b100 in parse_family(text)
+            continue
+        with pytest.raises(FamilyFormatError) as by_fallback:
+            _line_word(line.split(), lineno, 5)
+        with pytest.raises(FamilyFormatError) as by_parser:
+            parse_family(text)
+        assert type(by_parser.value) is type(by_fallback.value) is error
+        assert str(by_parser.value) == str(by_fallback.value) == f"line {lineno}: {detail}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))),
+    st.randoms(use_true_random=False),
+)
+def test_parse_reads_shuffled_zero_padded_lines(case, rng):
+    fam = Family(*case)
+    header, *body = serialize_family(fam).splitlines()
+    lines = [header]
+    for line in body:
+        parts = line.split()
+        rng.shuffle(parts)
+        lines.append(" ".join(p if p == "-" else "0" * rng.randint(0, 2) + p for p in parts))
+    assert parse_family("\n".join(lines) + "\n") == fam
+
+
 def test_serialize_round_trip_on_built_family():
     fam = build_b_family(4, 2)
     assert parse_family(serialize_family(fam)) == fam
@@ -256,8 +307,6 @@ def test_word_element_round_trip():
 
 
 def test_parse_family_never_crashes_on_garbage():
-    from supersat.core import FamilyFormatError
-
     rng = random.Random(99)
     alphabet = "0123456789 -#n=\txyz,."
     for _ in range(500):

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supersat.core import Family, binom, build_b_family, sigma
+from supersat import counting
 from supersat.counting import (
+    _field,
+    _fold,
     _zeta,
     count_chains_with_max_endpoint,
     count_chains_with_min_endpoint,
@@ -95,31 +98,55 @@ def test_dp_matches_naive_across_ground_sets():
             assert count_k_chains(fam, k) == count_k_chains_naive(fam, k)
 
 
+def level_formula(n, k, top_level=None):
+    """k-chains of the full lattice on [n], summed over level tuples; only
+    those whose largest set has size `top_level` when it is given."""
+    total = 0
+    for levels in combinations(range(n + 1), k):
+        if top_level is not None and levels[-1] != top_level:
+            continue
+        ways = binom(n, levels[0])
+        for a, b in zip(levels, levels[1:]):
+            ways *= binom(n - a, b - a)
+        total += ways
+    return total
+
+
 def test_full_lattice_count_matches_level_formula():
     for n in range(1, 6):
         full = Family.full(n)
         for k in range(1, n + 2):
-            by_levels = 0
-            for levels in combinations(range(n + 1), k):
-                ways = binom(n, levels[0])
-                for a, b in zip(levels, levels[1:]):
-                    ways *= binom(n - a, b - a)
-                by_levels += ways
+            by_levels = level_formula(n, k)
             assert count_k_chains(full, k) == by_levels
             assert count_k_chains_naive(full, k) == by_levels
 
 
-def test_zeta_on_bytes_matches_submask_sums_and_never_wraps():
+def test_packed_zeta_matches_submask_sums_at_each_width():
     rng = random.Random(5)
-    for n in range(7):
-        values = [rng.randrange(4) for _ in range(1 << n)]
-        expected = [sum(v for a, v in enumerate(values) if a & b == a) for b in range(1 << n)]
-        as_bytes = bytearray(values)
-        _zeta(values)
-        _zeta(as_bytes)
-        assert values == list(as_bytes) == expected
-    with pytest.raises(ValueError):
-        _zeta(bytearray([200, 100]))
+    for width in (1, 2, 3, 5):
+        for n in range(7):
+            # largest value whose 2^n-term sums still fit one field
+            top = (1 << (8 * width - n)) - 1
+            values = [rng.randint(0, top) for _ in range(1 << n)]
+            expected = [sum(v for a, v in enumerate(values) if a & b == a) for b in range(1 << n)]
+            packed = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+            table = _zeta(packed, n, width)
+            assert [_field(table, width, b) for b in range(1 << n)] == expected
+            assert table.bit_length() <= 8 * width << n
+            assert _fold(packed, n, width) == sum(values)
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (9, 4), (12, 5), (14, 6)])
+def test_field_width_holds_full_lattice_counts_that_need_its_top_byte(n, k):
+    # the full lattice has the most k-chains of any family over [n], and its
+    # largest per-top field, the chains topped by [n], needs the top byte of
+    # the width `_field_bytes` gives: one byte less carries mid-DP
+    width = counting._field_bytes(n, k)
+    on_top = level_formula(n, k, top_level=n)
+    assert on_top.bit_length() > 8 * (width - 1)
+    full = Family.full(n)
+    assert count_k_chains(full, k) == level_formula(n, k)
+    assert count_chains_with_max_endpoint(full, k, (1 << n) - 1) == on_top
 
 
 def test_included_chains_basics():
