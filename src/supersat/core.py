@@ -2,15 +2,15 @@
 binomials, middle-level families, and the family text format.
 
 A subset of [n] = {1, ..., n} is an n-bit integer word with bit i-1 set
-iff element i is in the subset.  A family's identity is a 2^n-bit membership
-int; `Family.mask` holds the same membership as one 0/1 byte per subset word.
+iff element i is in the subset.  A family is its membership mask, one 0/1
+byte per subset word; `Family.from_bits` is the one adapter from a 2^n-bit
+membership int.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Iterator, NamedTuple
 
@@ -114,29 +114,31 @@ class LevelInterval(NamedTuple):
 
 @dataclass(frozen=True)
 class Family:
-    """Set family over [n]: bit s of `members`, the hashable identity, and
-    byte s of `mask` are 1 iff the subset with word s belongs to the family.
-    Immutable and safe to share across threads.
+    """Set family over [n]: byte s of `mask` is 1 iff the subset with word s
+    belongs to the family, and 0 otherwise.  The mask is the family's
+    identity, so equal families compare and hash alike.  Immutable and safe
+    to share across threads.
     """
 
     n: int
-    members: int
+    mask: bytes = field(repr=False)
 
     def __post_init__(self):
         check_ground_set(self.n)
-        if self.members < 0 or self.members.bit_length() > (1 << self.n):
-            raise ValueError("membership bitset does not fit the 2^n subsets")
+        # a bytearray would leave the family mutable through an alias
+        if type(self.mask) is not bytes:
+            raise TypeError(f"mask must be bytes, got {type(self.mask).__name__}")
+        if len(self.mask) != 1 << self.n or self.mask.translate(None, b"\0\1"):
+            raise ValueError(f"mask must hold one 0/1 byte for each of the {1 << self.n} subsets")
 
     @classmethod
-    def from_mask(cls, n: int, mask: bytes | bytearray) -> "Family":
-        """The family whose subset word w is a member iff mask[w] is 1."""
+    def from_bits(cls, n: int, bits: int) -> "Family":
+        """The family whose subset word w is a member iff bit w of `bits` is set."""
         check_ground_set(n)
-        mask = bytes(mask)
-        if len(mask) != 1 << n or mask.translate(None, b"\0\1"):
-            raise ValueError(f"mask must hold one 0/1 byte for each of the {1 << n} subsets")
-        family = cls(n, int(mask[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2))
-        family.__dict__["mask"] = mask  # fills the cache of the `mask` property
-        return family
+        if bits < 0 or bits.bit_length() > 1 << n:
+            raise ValueError("membership bitset does not fit the 2^n subsets")
+        digits = bin(bits)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+        return cls(n, digits + bytes((1 << n) - len(digits)))
 
     @classmethod
     def from_words(cls, n: int, words: Iterable[int]) -> "Family":
@@ -144,20 +146,15 @@ class Family:
 
     @classmethod
     def empty(cls, n: int) -> "Family":
-        return cls(n, 0)
+        return cls.from_bits(n, 0)
 
     @classmethod
     def full(cls, n: int) -> "Family":
-        return cls(n, (1 << (1 << n)) - 1)
-
-    @cached_property
-    def mask(self) -> bytes:
-        """One 0/1 membership byte per subset word, read once from `members`."""
-        digits = bin(self.members)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
-        return digits + bytes((1 << self.n) - len(digits))
+        check_ground_set(n)
+        return cls(n, b"\1" * (1 << n))
 
     def size(self) -> int:
-        return self.members.bit_count()
+        return self.mask.count(1)
 
     def __contains__(self, word: int) -> bool:
         return 0 <= word < (1 << self.n) and self.mask[word] == 1
@@ -171,7 +168,7 @@ class Family:
         for w in words:
             check_word(w, self.n)
             mask[w] = 1
-        return Family.from_mask(self.n, mask)
+        return Family(self.n, bytes(mask))
 
 
 def middle_levels(n: int, k: int, variant: str = "floor") -> LevelInterval:
@@ -207,7 +204,7 @@ def build_b_family(n: int, k: int, variant: str = "floor") -> Family:
     for lvl in range(lo, hi + 1):
         for w in level_words(n, lvl):
             mask[w] = 1
-    return Family.from_mask(n, mask)
+    return Family(n, bytes(mask))
 
 
 def format_word(word: int) -> str:
@@ -277,7 +274,7 @@ def parse_family(text: str) -> Family:
         if mask[word]:
             raise DuplicateSubset(f"line {lineno}: duplicate subset {format_word(word)!r}")
         mask[word] = 1
-    return Family.from_mask(n, mask)
+    return Family(n, bytes(mask))
 
 
 def _line_word(parts: list[str], lineno: int, n: int) -> int:

@@ -81,7 +81,7 @@ def min_chain_count_exact(n: int, k: int, m: int) -> OracleResult:
         raise ValueError(f"chain length k must be >= 1, got {k}")
     _check_size(n, m)
     mins, wits = _exact_table(n, k)
-    return OracleResult(n, k, m, mins[m], Family(n, wits[m]), True)
+    return OracleResult(n, k, m, mins[m], Family.from_bits(n, wits[m]), True)
 
 
 def max_free_family(n: int, k: int) -> tuple[int, Family]:
@@ -94,7 +94,7 @@ def max_free_family(n: int, k: int) -> tuple[int, Family]:
         raise ValueError(f"chain length k must be >= 1, got {k}")
     mins, wits = _exact_table(n, k)
     best = max(m for m in range(len(mins)) if mins[m] == 0)
-    return best, Family(n, wits[best])
+    return best, Family.from_bits(n, wits[best])
 
 
 def centered_level_order(n: int) -> list[int]:
@@ -161,10 +161,11 @@ def min_chain_count_heuristic(
         raise ValueError("iterations must be nonnegative")
 
     # seed the walk at the centered construction (the conjectured optimum),
-    # whichever partial-level side counts lower
+    # whichever partial-level side counts lower; on a tie, reversed masks
+    # compare exactly as the membership bitsets would
     start = min(
         {centered_family(n, m), centered_family(n, m, mirror_partial=True)},
-        key=lambda fam: (count_k_chains(fam, k), fam.members),
+        key=lambda fam: (count_k_chains(fam, k), fam.mask[::-1]),
     )
     best_count = current = count_k_chains(start, k)
     space = 1 << n
@@ -197,7 +198,7 @@ def min_chain_count_heuristic(
         else:
             mask[inside[i]], mask[outside[j]] = 1, 0
         temperature *= cooling
-    return OracleResult(n, k, m, best_count, Family.from_mask(n, best_mask), False)
+    return OracleResult(n, k, m, best_count, Family(n, best_mask), False)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ decompositions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from supersat.core import binom, check_ground_set, check_word, level
@@ -58,14 +59,14 @@ class Permutation:
 class Decomposition:
     """Chains covering the subset lattice, with a word -> (chain, position) locator.
 
-    Construction canonicalizes chain order and derives the locator but does
-    not require the chains to form a valid SCD; `validate_scd` reports that,
-    so deliberately broken decompositions can be represented in tests.
+    Construction canonicalizes chain order but does not require the chains
+    to form a valid SCD; `validate_scd` reports that, so deliberately broken
+    decompositions can be represented in tests.  The locator is built from
+    the chains on first use, so a plain dump of the chains never pays for it.
     """
 
     n: int
     chains: tuple[Chain, ...]
-    locator: dict[int, tuple[int, int]] = field(compare=False, repr=False)
 
     @classmethod
     def from_chains(cls, n: int, chains: Iterable[Sequence[int]]) -> "Decomposition":
@@ -79,11 +80,16 @@ class Decomposition:
                 check_word(w, n)
             canon.append(ch)
         canon.sort(key=lambda ch: (min(level(w) for w in ch), min(ch)))
+        return cls(n, tuple(canon))
+
+    @cached_property
+    def locator(self) -> dict[int, tuple[int, int]]:
+        """Word -> (chain index, position) of its first occurrence in `chains`."""
         locator: dict[int, tuple[int, int]] = {}
-        for idx, ch in enumerate(canon):
+        for idx, ch in enumerate(self.chains):
             for pos, w in enumerate(ch):
                 locator.setdefault(w, (idx, pos))
-        return cls(n, tuple(canon), locator)
+        return locator
 
 
 def scd_inductive(n: int) -> Decomposition:

@@ -46,7 +46,7 @@ class Check:
 def _random_family(rng: random.Random, n: int, size: int | None = None) -> Family:
     space = 1 << n
     if size is None:
-        return Family(n, rng.getrandbits(space))
+        return Family.from_bits(n, rng.getrandbits(space))
     return Family.from_words(n, rng.sample(range(space), size))
 
 

@@ -122,7 +122,7 @@ def test_criterion_06_counting_oracle_equivalence():
     rng = random.Random(606)
     mismatches = 0
     for _ in range(100):
-        fam = Family(6, rng.getrandbits(64))
+        fam = Family.from_bits(6, rng.getrandbits(64))
         for k in (2, 3, 4):
             if count_k_chains(fam, k) != count_k_chains_naive(fam, k):
                 mismatches += 1

@@ -132,11 +132,13 @@ def test_level_words_are_colex_sorted_and_complete():
 
 def test_family_validation():
     with pytest.raises(ValueError):
-        Family(0, 0)
+        Family(0, b"\x00")
     with pytest.raises(ValueError):
-        Family(21, 0)
+        Family(21, bytes(1 << 21))
     with pytest.raises(ValueError):
-        Family(2, 1 << 4)  # bit for a fifth subset of a 4-subset lattice
+        Family.from_bits(2, 1 << 4)  # bit for a fifth subset of a 4-subset lattice
+    with pytest.raises(ValueError):
+        Family.from_bits(2, -1)
     with pytest.raises(ValueError):
         Family.from_words(2, [4])
     fam = Family.from_words(3, [0, 0b011])
@@ -144,38 +146,77 @@ def test_family_validation():
     assert 0 in fam and 0b011 in fam and 0b111 not in fam
 
 
-def test_mask_round_trips_through_from_mask():
+def test_mask_round_trips_through_from_bits():
     rng = random.Random(5)
     for n in range(1, 11):
-        for fam in (Family.empty(n), Family.full(n), Family(n, rng.getrandbits(1 << n))):
-            assert len(fam.mask) == 1 << n
-            assert all(fam.mask[w] == (fam.members >> w) & 1 for w in range(1 << n))
-            assert Family.from_mask(n, fam.mask) == fam
-            assert Family.from_mask(n, bytearray(fam.mask)) == fam
+        for bits in (0, (1 << (1 << n)) - 1, rng.getrandbits(1 << n)):
+            fam = Family.from_bits(n, bits)
+            assert type(fam.mask) is bytes and len(fam.mask) == 1 << n
+            assert all(fam.mask[w] == (bits >> w) & 1 for w in range(1 << n))
+            assert fam.size() == bits.bit_count()
+            assert Family(n, fam.mask) == fam
+        assert Family.from_bits(n, 0) == Family.empty(n)
+        assert Family.from_bits(n, (1 << (1 << n)) - 1) == Family.full(n)
 
 
-def test_from_mask_rejects_a_bad_mask():
-    for n, mask in ((3, bytes(7)), (3, bytes(9)), (1, b""), (2, b"\x00\x02\x00\x00")):
+def test_constructor_rejects_a_bad_mask():
+    for n, mask in ((3, bytes(7)), (3, bytes(9)), (1, b""), (2, b"\x00\x02\x00\x00"), (2, b"0101")):
         with pytest.raises(ValueError, match="mask"):
-            Family.from_mask(n, mask)
+            Family(n, mask)
+    for mask in (bytearray(4), memoryview(bytes(4)), [0, 0, 0, 0], "\0\0\0\0"):
+        with pytest.raises(TypeError, match="mask must be bytes"):
+            Family(2, mask)
     with pytest.raises(ValueError):
-        Family.from_mask(0, b"\x01")
+        Family(0, b"\x01")
 
 
-def test_from_mask_keeps_its_own_copy():
-    buf = bytearray(4)
-    fam = Family.from_mask(2, buf)
-    buf[1] = 1
+def test_ground_set_is_checked_before_any_allocation():
+    # n = 64 would ask for 2^64 bytes if the mask were allocated first
+    for n in (0, 21, 64, True, -1):
+        for build in (Family.empty, Family.full, lambda n: Family.from_bits(n, 0)):
+            with pytest.raises(ValueError, match="ground-set size"):
+                build(n)
+
+
+def test_family_keeps_its_own_copy():
+    # the constructor takes only bytes, so growing a family copies its mask
+    fam = Family.empty(2)
+    grown = fam.with_words([1])
+    assert 1 in grown and grown.size() == 1
     assert 1 not in fam and fam.mask == bytes(4) and fam.size() == 0
+
+
+def test_equal_families_hash_alike_across_builders():
+    rng = random.Random(8)
+    for n in range(1, 9):
+        for k in range(1, n + 2):
+            built = build_b_family(n, k)
+            words = list(built.words())
+            bits = sum(1 << w for w in words)
+            same = (
+                built,
+                Family.from_words(n, reversed(words)),
+                Family.from_bits(n, bits),
+                parse_family(serialize_family(built)),
+            )
+            assert len(set(same)) == 1 and len({hash(f) for f in same}) == 1
+            other = Family.from_bits(n, bits ^ (1 << rng.randrange(1 << n)))
+            assert other != built and other not in set(same)
+    assert Family.from_bits(2, 0b0001) != Family.from_bits(3, 0b0001)
+
+
+def test_repr_is_short_and_names_n():
+    assert repr(Family.full(20)) == "Family(n=20)"
 
 
 def test_words_ascend_and_rebuild_the_members():
     rng = random.Random(6)
     for n in range(1, 11):
-        fam = Family(n, rng.getrandbits(1 << n))
+        bits = rng.getrandbits(1 << n)
+        fam = Family.from_bits(n, bits)
         words = list(fam.words())
         assert words == sorted(set(words))
-        assert sum(1 << w for w in words) == fam.members
+        assert sum(1 << w for w in words) == bits
         assert all(w in fam for w in words)
 
 
@@ -193,7 +234,7 @@ def test_ground_set_rejects_bool():
         with pytest.raises(ValueError, match="ground-set size"):
             check_ground_set(flag)
     with pytest.raises(ValueError):
-        Family(True, 0b11)
+        Family(True, b"\x00\x01")
 
 
 def test_parse_family_basic():
@@ -276,7 +317,7 @@ def test_token_table_and_fallback_agree(line, error, detail):
     st.randoms(use_true_random=False),
 )
 def test_parse_reads_shuffled_zero_padded_lines(case, rng):
-    fam = Family(*case)
+    fam = Family.from_bits(*case)
     header, *body = serialize_family(fam).splitlines()
     lines = [header]
     for line in body:
@@ -295,7 +336,7 @@ def test_serialize_round_trip_random_families():
     rng = random.Random(7)
     for _ in range(1000):
         n = rng.randint(1, 10)
-        fam = Family(n, rng.getrandbits(1 << n))
+        fam = Family.from_bits(n, rng.getrandbits(1 << n))
         assert parse_family(serialize_family(fam)) == fam
 
 

@@ -22,7 +22,7 @@ from supersat.scd import scd_bracketing, scd_inductive
 
 def random_family(rng, n, size=None):
     if size is None:
-        return Family(n, rng.getrandbits(1 << n))
+        return Family.from_bits(n, rng.getrandbits(1 << n))
     return Family.from_words(n, rng.sample(range(1 << n), size))
 
 
@@ -221,7 +221,7 @@ def test_endpoint_counts_match_enumeration():
 @st.composite
 def family_cases(draw):
     n = draw(st.integers(1, 6))
-    fam = Family(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
+    fam = Family.from_bits(n, draw(st.integers(0, (1 << (1 << n)) - 1)))
     return fam, draw(st.integers(1, n + 2)), draw(st.permutations(range(n)))
 
 

@@ -41,6 +41,26 @@ def test_exact_witnesses_recount_to_min():
                 assert count_k_chains(result.witness, k) == result.min_count
 
 
+def test_result_repr_is_short_and_names_n():
+    text = repr(min_chain_count_exact(4, 2, 7))
+    assert len(text) < 200
+    assert text.startswith("OracleResult(n=4, k=2, family_size=7,") and "witness=Family(n=4)" in text
+
+
+def test_heuristic_start_breaks_ties_by_membership_bitset():
+    # with no iterations the walk returns its start: the lower-count centered
+    # family, and on a tie the one whose membership bitset is smaller
+    def bitset(fam):
+        return sum(1 << w for w in fam.words())
+
+    for n in range(3, 7):
+        for k in (1, 2, 3):
+            for m in range(1 << n):
+                sides = (centered_family(n, m), centered_family(n, m, mirror_partial=True))
+                want = min(sides, key=lambda fam: (count_k_chains(fam, k), bitset(fam)))
+                assert min_chain_count_heuristic(n, k, m, iterations=0).witness == want, (n, k, m)
+
+
 def test_exact_sweep_matches_naive_enumeration():
     # independent of the zeta kernel: every family of [n], n <= 3, recounted
     # by nested enumeration; the first family of each size attaining the
@@ -49,7 +69,7 @@ def test_exact_sweep_matches_naive_enumeration():
         for k in range(1, n + 3):
             best = {}
             for members in range(1 << (1 << n)):
-                family = Family(n, members)
+                family = Family.from_bits(n, members)
                 count = count_k_chains_naive(family, k)
                 m = family.size()
                 if m not in best or count < best[m][0]:

@@ -77,6 +77,26 @@ def test_validate_rejects_missing_subset():
     assert not report.chain_count
 
 
+def test_validate_rejects_a_word_on_two_chains():
+    # word 1 sits on chain 0 and again as chain 1; the locator keeps the first
+    dec = Decomposition.from_chains(2, [(0, 1, 3), (1,), (2,)])
+    assert dec.chains == ((0, 1, 3), (1,), (2,))
+    assert dec.locator[1] == (0, 1)
+    report = validate_scd(dec)
+    assert not report.partition and not report.locator
+    assert report.skipless and not report.ok
+    assert "locator disagrees with chain 1 at position 0" in report.problems
+
+
+def test_locator_is_built_only_when_read():
+    dec = scd_inductive(12)
+    assert len(dec.chains) == binom(12, 6)
+    assert "locator" not in dec.__dict__
+    assert chain_through(dec, 0) == (0, 0)
+    assert "locator" in dec.__dict__ and len(dec.locator) == 1 << 12
+    assert dec == scd_inductive(12)
+
+
 def test_validate_rejects_asymmetric_chain():
     dec = Decomposition.from_chains(2, [(0, 1), (2, 3)])
     report = validate_scd(dec)
