@@ -17,7 +17,7 @@ from supersat import __version__
 from supersat.core import (
     Family,
     FamilyFormatError,
-    format_word,
+    _word_formatter,
     parse_family,
     serialize_family,
     sigma,
@@ -133,8 +133,9 @@ def _cmd_scd(args) -> int:
             }
         )
         return EXIT_OK
+    name = _word_formatter(args.n)
     for chain in dec.chains:
-        sys.stdout.write(" -> ".join(format_word(w) for w in chain) + "\n")
+        sys.stdout.write(" -> ".join(map(name, chain)) + "\n")
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 # The chain-count kernel holds a few packed ints of 2^n fields, each
 # bitlen((k+1)^n) bits rounded up to bytes, and makes O(k * n) big-int
@@ -198,13 +198,20 @@ def sigma(n: int, k: int) -> int:
 
 
 def build_b_family(n: int, k: int, variant: str = "floor") -> Family:
-    """Family of all subsets whose size falls in the k middle levels."""
+    """Family of all subsets whose size falls in the k middle levels.
+
+    A byte table of popcounts over the 2^n words is built by doubling: the
+    words with the next bit set are the ones before them plus one element,
+    so `pc += pc.translate(plus_one)`.  One more translate maps the levels
+    lo..hi to 1 and every other level to 0, which is the mask.
+    """
     lo, hi = middle_levels(n, k, variant)
-    mask = bytearray(1 << n)
-    for lvl in range(lo, hi + 1):
-        for w in level_words(n, lvl):
-            mask[w] = 1
-    return Family(n, bytes(mask))
+    plus_one = bytes(range(1, 256)) + b"\0"
+    pc = b"\0"
+    for _ in range(n):
+        pc += pc.translate(plus_one)
+    band = bytes(lo <= lvl <= hi for lvl in range(256))
+    return Family(n, pc.translate(band))
 
 
 def format_word(word: int) -> str:
@@ -214,10 +221,60 @@ def format_word(word: int) -> str:
     return " ".join(str(e) for e in elements_of_word(word))
 
 
+def _name_tables(n: int) -> tuple[int, list[str], list[str]]:
+    """(h, lo, hi) with h = n // 2: lo[i] names the subset of elements
+    1..h with word i and hi[j] the subset of elements h+1..n with word j,
+    each as its ascending, space-separated elements ("" for word 0).  A word
+    w is lo[w & (2^h - 1)] followed by hi[w >> h]."""
+    h = n // 2
+    tables = []
+    for first, last in ((1, h), (h + 1, n)):
+        names = [""]
+        for e in range(first, last + 1):
+            # the words with this bit set are the earlier ones plus e, the largest element yet
+            names += [f"{name} {e}" if name else str(e) for name in names]
+        tables.append(names)
+    return h, tables[0], tables[1]
+
+
+def _word_formatter(n: int) -> Callable[[int], str]:
+    """`format_word` for the words of [n], by two lookups in `_name_tables`."""
+    h, lo, hi = _name_tables(n)
+    low = (1 << h) - 1
+
+    def name(word: int) -> str:
+        a, b = lo[word & low], hi[word >> h]
+        return f"{a} {b}" if a and b else a or b or "-"
+
+    return name
+
+
 def serialize_family(family: Family) -> str:
-    lines = [f"n={family.n}"]
-    lines.extend(format_word(w) for w in family.words())
-    return "\n".join(lines) + "\n"
+    """The family file text: the header, then one line per member in
+    ascending word order.
+
+    The words w = (j << h) | i with one high half j form a block of 2^h
+    words; a member's line is lo[i], a space if both halves are nonempty,
+    hi[j] and a newline (see `_name_tables`).  So for j >= 1 one block is
+    one C-level join of the low names, with a trailing space, picked by the
+    block's mask bytes and separated by hi[j] + newline.  Block 0 prints
+    lo[i] alone, and `-` for word 0.  The text equals the per-word
+    `format_word` lines byte for byte.
+    """
+    n, mask = family.n, family.mask
+    h, lo, hi = _name_tables(n)
+    size = 1 << h
+    lines = [name + "\n" for name in lo]
+    lines[0] = "-\n"
+    out = [f"n={n}\n", "".join(compress(lines, mask[:size]))]
+    lo_sp = [name + " " for name in lo]
+    lo_sp[0] = ""
+    for j in range(1, len(hi)):
+        block = mask[j << h : (j + 1) << h]
+        if 1 in block:  # the join of no names would still emit one sep
+            sep = hi[j] + "\n"
+            out.append(sep.join(compress(lo_sp, block)) + sep)
+    return "".join(out)
 
 
 def _decimal(token: str) -> int:

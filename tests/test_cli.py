@@ -131,6 +131,17 @@ def test_scd_dump_has_one_line_per_chain(capsys):
     assert any(line.startswith("- -> ") for line in lines)
 
 
+def test_scd_dump_matches_the_per_word_reference(capsys):
+    from supersat.core import format_word
+    from supersat.scd import scd_inductive
+
+    for n in range(1, 11):
+        code, out, _ = run_cli(capsys, "scd", "--n", str(n))
+        assert code == 0
+        chains = scd_inductive(n).chains
+        assert out == "".join(" -> ".join(map(format_word, chain)) + "\n" for chain in chains), n
+
+
 def test_scd_validate_report(capsys):
     payload = run_json(capsys, "scd", "--n", "6", "--method", "inductive", "--validate")
     assert payload["valid"] is True

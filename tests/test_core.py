@@ -16,6 +16,7 @@ from supersat.core import (
     build_b_family,
     check_ground_set,
     elements_of_word,
+    format_word,
     level_words,
     middle_levels,
     parse_family,
@@ -119,6 +120,18 @@ def test_build_b_family_size_matches_sigma():
         for k in range(1, n + 2):
             for variant in ("floor", "ceil"):
                 assert build_b_family(n, k, variant).size() == sigma(n, k)
+
+
+def test_build_b_family_matches_a_level_words_reference():
+    for n in range(1, 13):
+        for k in range(1, n + 2):
+            for variant in ("floor", "ceil"):
+                lo, hi = middle_levels(n, k, variant)
+                mask = bytearray(1 << n)
+                for lvl in range(lo, hi + 1):
+                    for w in level_words(n, lvl):
+                        mask[w] = 1
+                assert build_b_family(n, k, variant).mask == bytes(mask), (n, k, variant)
 
 
 def test_level_words_are_colex_sorted_and_complete():
@@ -338,6 +351,19 @@ def test_serialize_round_trip_random_families():
         n = rng.randint(1, 10)
         fam = Family.from_bits(n, rng.getrandbits(1 << n))
         assert parse_family(serialize_family(fam)) == fam
+
+
+def test_serialize_matches_the_per_word_reference():
+    # n = 1..14 covers even and odd splits of the name tables, h = 0 at n = 1
+    rng = random.Random(11)
+    for n in range(1, 15):
+        top = (1 << n) - 1
+        families = [Family.from_bits(n, rng.getrandbits(1 << n)) for _ in range(3)]
+        families += [Family.from_bits(n, rng.getrandbits(1 << n) & rng.getrandbits(1 << n))]
+        families += [Family.empty(n), Family.full(n), Family.from_words(n, [0]), Family.from_words(n, [top])]
+        for fam in families:
+            want = f"n={n}\n" + "".join(format_word(w) + "\n" for w in fam.words())
+            assert serialize_family(fam) == want, n
 
 
 def test_word_element_round_trip():
