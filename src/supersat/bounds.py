@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from supersat.core import (
     Family,
@@ -23,7 +23,9 @@ from supersat.core import (
     middle_levels,
     sigma,
 )
-from supersat.scd import Decomposition
+
+if TYPE_CHECKING:
+    from supersat.scd import Decomposition
 
 # selector(n, level, count) -> `count` distinct subset words on that level
 Selector = Callable[[int, int, int], Iterable[int]]

@@ -12,8 +12,12 @@ transform `_zeta` also serves the exhaustive n <= 4 sweep in
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from supersat.core import Family, binom, level
-from supersat.scd import Decomposition
+
+if TYPE_CHECKING:
+    from supersat.scd import Decomposition
 
 
 def _check_k(k: int) -> None:

@@ -13,7 +13,6 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from supersat.core import Family, binom, check_ground_set, level_words
 from supersat.bounds import added_row_level, colex_smallest
@@ -51,24 +50,42 @@ def _exact_table(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     every family's k-chain count at its own index.  Returns (mins,
     witnesses) indexed by family size m; the witness is the smallest
     membership bitset attaining the minimum.
+
+    The minima are read without a Python loop over the families: with every
+    family off size m banded to 0xFF, above any count, the first byte value
+    that `bytes.find` hits is the minimum and the hit its smallest witness.
     """
     size = 1 << n
+    # (top word, word bitset) of every j-chain, grown by one strict superset at a time
+    chains = [(w, 1 << w) for w in range(size)]
+    for _ in range(k - 1):
+        chains = [
+            (s, bits | 1 << s)
+            for top, bits in chains
+            for s in range(top + 1, size)
+            if s & top == top
+        ]
     marks = bytearray(1 << size)
-    # ascending word tuples whose consecutive words nest are exactly the chains
-    for chain in combinations(range(size), k):
-        if all(a & b == a for a, b in zip(chain, chain[1:])):
-            marks[sum(1 << w for w in chain)] = 1
+    for _, bits in chains:
+        marks[bits] = 1
     # B_4 holds at most 110 k-chains (k = 3), and every field of the
     # transform counts some of them, so one-byte fields never carry
-    counts = _zeta(int.from_bytes(marks, "little"), size, 1).to_bytes(1 << size, "little")
-    mins: list[int | None] = [None] * (size + 1)
-    wits = [0] * (size + 1)
-    for fam, cnt in enumerate(counts):
-        m = fam.bit_count()
-        if mins[m] is None or cnt < mins[m]:
-            mins[m] = cnt
-            wits[m] = fam
-    return tuple(mins), tuple(wits)  # type: ignore[arg-type]
+    counts = _zeta(int.from_bytes(marks, "little"), size, 1)
+    # family sizes by doubling, as in build_b_family
+    plus_one = bytes(range(1, 256)) + b"\0"
+    sizes = b"\0"
+    for _ in range(size):
+        sizes += sizes.translate(plus_one)
+    mins, wits = [], []
+    for m in range(size + 1):
+        off_m = sizes.translate(bytes(0 if j == m else 0xFF for j in range(256)))
+        banded = (counts | int.from_bytes(off_m, "little")).to_bytes(1 << size, "little")
+        cnt = 0
+        while (fam := banded.find(cnt)) < 0:
+            cnt += 1
+        mins.append(cnt)
+        wits.append(fam)
+    return tuple(mins), tuple(wits)
 
 
 def min_chain_count_exact(n: int, k: int, m: int) -> OracleResult:

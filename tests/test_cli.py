@@ -175,7 +175,7 @@ def test_nperm_payload(capsys):
 
 
 def test_scd_dump_never_builds_the_locator(capsys, monkeypatch):
-    import supersat.cli as cli
+    import supersat.scd
     from supersat.scd import scd_inductive
 
     built = []
@@ -184,22 +184,22 @@ def test_scd_dump_never_builds_the_locator(capsys, monkeypatch):
         built.append(scd_inductive(n))
         return built[-1]
 
-    monkeypatch.setattr(cli, "scd_inductive", recording)
+    monkeypatch.setattr(supersat.scd, "scd_inductive", recording)
     code, out, _ = run_cli(capsys, "scd", "--n", "12")
     assert code == 0 and len(out.splitlines()) == binom(12, 6)
     assert "locator" not in built[0].__dict__
     code, out, _ = run_cli(capsys, "scd", "--n", "12", "--validate")
     assert code == 0 and json.loads(out)["checks"]["locator"] is True
-    assert "locator" in built[1].__dict__
+    assert "locator" not in built[1].__dict__
 
 
 def test_nperm_enumerate_rejects_large_n_before_building_the_scd(capsys, monkeypatch):
-    import supersat.cli as cli
+    import supersat.scd
 
     def unused(n):
         raise AssertionError(f"built the n = {n} decomposition")
 
-    monkeypatch.setattr(cli, "scd_inductive", unused)
+    monkeypatch.setattr(supersat.scd, "scd_inductive", unused)
     code, out, err = run_cli(capsys, "nperm", "--n", "20", "--levels", "1,2", "--enumerate")
     assert (code, out) == (3, "")
     assert err == "error: factorial enumeration is capped at n = 7\n"

@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import pytest
 
 from supersat.core import Family, sigma
-from supersat.counting import count_k_chains, count_k_chains_naive
+from supersat.counting import _zeta, count_k_chains, count_k_chains_naive
 from supersat.bounds import supersat_bound, tight_x_max, build_extremal_family
 from supersat.oracle import (
+    _exact_table,
     centered_family,
     centered_level_order,
     construction_count,
@@ -79,6 +82,25 @@ def test_exact_sweep_matches_naive_enumeration():
                 assert (result.min_count, result.witness) == (count, family), (n, k, m)
             free = max(m for m, (count, _) in best.items() if count == 0)
             assert max_free_family(n, k) == (free, best[free][1]), (n, k)
+
+
+def test_exact_table_minima_match_a_loop_over_every_family():
+    # the banded bytes.find scan against a plain pass over the same counts,
+    # keeping the first family of each size that attains the minimum
+    for n in range(5):
+        size = 1 << n
+        for k in range(1, 7):
+            marks = bytearray(1 << size)
+            for chain in combinations(range(size), k):
+                if all(a & b == a for a, b in zip(chain, chain[1:])):
+                    marks[sum(1 << w for w in chain)] = 1
+            counts = _zeta(int.from_bytes(marks, "little"), size, 1).to_bytes(1 << size, "little")
+            mins, wits = [None] * (size + 1), [0] * (size + 1)
+            for fam, cnt in enumerate(counts):
+                m = fam.bit_count()
+                if mins[m] is None or cnt < mins[m]:
+                    mins[m], wits[m] = cnt, fam
+            assert _exact_table(n, k) == (tuple(mins), tuple(wits)), (n, k)
 
 
 def test_exact_minimum_is_monotone_in_size():
