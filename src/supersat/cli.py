@@ -303,14 +303,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--heuristic", action="store_true", help="annealing search (n <= 10)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="annealing seed; only --heuristic reads it, the exact sweep ignores it")
     p.add_argument("--iters", type=int, default=2000)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("kleitman", help="minimum vs centered construction for every size")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="annealing seed for n >= 5; ignored for n <= 4, where every row is exact")
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--json", action="store_true", help="JSON instead of the TSV table")
     p.set_defaults(func=_cmd_kleitman)

@@ -125,20 +125,32 @@ def count_k_chains(family: Family, k: int) -> int:
 def count_k_chains_naive(family: Family, k: int) -> int:
     """Chain count by direct nested enumeration over member tuples.
 
-    Independent oracle for `count_k_chains`; exponential, keep to n <= 8.
+    Independent oracle for `count_k_chains`: it shares no code with the
+    packed zeta kernel and uses no zeta transform, packing or memo.
+    `above[w]` lists the members strictly containing w, found once per pair
+    of members by a subset test.  Every (k-1)-chain is walked one by one
+    through those lists, and each adds `len(above[top])` for its k-th set
+    without visiting it: every set on that list already passed the subset
+    test against `top`, so counting the list is counting the chains that
+    end in it.  No count is derived from another.  Exponential; keep to
+    n <= 8.
     """
     _check_k(k)
     if k > family.n + 1:
         return 0
+    # ordered by level, every strict superset of a member comes after it
     members = sorted(family.words(), key=lambda w: (level(w), w))
+    if k == 1:
+        return len(members)
+    above = {w: [v for v in members[i + 1 :] if (w & v) == w] for i, w in enumerate(members)}
 
     def grow(top: int, depth: int) -> int:
-        if depth == k:
-            return 1
+        """Chains of length k that extend a depth-long chain ending at top."""
+        if depth == k - 1:
+            return len(above[top])
         total = 0
-        for w in members:
-            if w != top and (top & w) == top:
-                total += grow(w, depth + 1)
+        for w in above[top]:
+            total += grow(w, depth + 1)
         return total
 
     return sum(grow(w, 1) for w in members)

@@ -15,6 +15,11 @@ from supersat.core import binom, check_ground_set, check_word, level
 Chain = tuple[int, ...]
 
 
+def _chain_order(ch: Chain) -> tuple[int, int]:
+    """Canonical chain order: lowest level on the chain, then smallest word."""
+    return min(map(int.bit_count, ch)), min(ch)
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Bijection of [n]; image[i] is where element i+1 goes."""
@@ -70,6 +75,18 @@ class Decomposition:
 
     @classmethod
     def from_chains(cls, n: int, chains: Iterable[Sequence[int]]) -> "Decomposition":
+        """The checked constructor: every chain nonempty and every word a
+        subset of [n], chains sorted by `_chain_order`.
+
+        `scd_inductive` and `permute_decomposition` build the dataclass
+        directly and skip the word checks, since their words are subsets of
+        [n] by construction: the inductive chains add bits below n to words
+        of [n - 1], and a permutation of [n] maps the words of a checked
+        decomposition to words of [n].  `permute_decomposition` sorts by
+        `_chain_order` itself; `scd_inductive` sorts by each chain's first
+        word, which gives the same key on its ascending chains.  The tests
+        pin both against this constructor.
+        """
         check_ground_set(n)
         canon = []
         for ch in chains:
@@ -79,7 +96,7 @@ class Decomposition:
             for w in ch:
                 check_word(w, n)
             canon.append(ch)
-        canon.sort(key=lambda ch: (min(level(w) for w in ch), min(ch)))
+        canon.sort(key=_chain_order)
         return cls(n, tuple(canon))
 
     @cached_property
@@ -109,7 +126,9 @@ def scd_inductive(n: int) -> Decomposition:
             if len(ch) >= 2:
                 grown.append(tuple(w | bit for w in ch[:-1]))
         chains = grown
-    return Decomposition.from_chains(n, chains)
+    # every chain ascends, so its first word holds both parts of `_chain_order`
+    chains.sort(key=lambda ch: (ch[0].bit_count(), ch[0]))
+    return Decomposition(n, tuple(chains))
 
 
 def bracketing_chain_of(n: int, word: int) -> Chain:
@@ -189,21 +208,24 @@ def validate_scd(dec: Decomposition) -> ScdValidation:
     n = dec.n
     problems: list[str] = []
 
-    seen: set[int] = set()
+    # one seen flag per word of [n]: 1 MiB at n = 20, where a set of the
+    # words raised the peak by about 45 MiB
+    seen = bytearray(1 << n)
     duplicates = 0
     first_repeat: tuple[int, int] | None = None
     for idx, ch in enumerate(dec.chains):
         for pos, w in enumerate(ch):
-            if w in seen:
+            if seen[w]:
                 duplicates += 1
                 if first_repeat is None:
                     first_repeat = (idx, pos)
-            seen.add(w)
-    partition = duplicates == 0 and len(seen) == 1 << n
+            seen[w] = 1
+    covered = (1 << n) - seen.count(0)
+    partition = duplicates == 0 and covered == 1 << n
     if duplicates:
         problems.append(f"{duplicates} subsets appear on more than one chain")
-    if len(seen) != 1 << n:
-        problems.append(f"chains cover {len(seen)} of {1 << n} subsets")
+    if covered != 1 << n:
+        problems.append(f"chains cover {covered} of {1 << n} subsets")
 
     skipless = True
     for idx, ch in enumerate(dec.chains):
@@ -237,12 +259,32 @@ def validate_scd(dec: Decomposition) -> ScdValidation:
 
 
 def permute_decomposition(dec: Decomposition, perm: Permutation) -> Decomposition:
-    """Apply the permutation to every set of every chain."""
-    if perm.n != dec.n:
-        raise ValueError(f"permutation acts on [{perm.n}] but decomposition is over [{dec.n}]")
-    return Decomposition.from_chains(
-        dec.n, (tuple(perm.apply_to_word(w) for w in ch) for ch in dec.chains)
-    )
+    """Apply the permutation to every set of every chain.
+
+    A word w maps to lo[w & (2^h - 1)] | hi[w >> h] with h = ceil(n / 2):
+    lo holds the images of the 2^h words of elements 1..h and hi those of
+    elements h+1..n, each table grown by doubling as in `core._name_tables`.
+    Two half tables take 2^h + 2^(n-h) ints where one of all 2^n words
+    would raise the peak memory at n = 20.  `Permutation.apply_to_word`
+    is the per-word reference the tests compare against.
+    """
+    n = dec.n
+    if perm.n != n:
+        raise ValueError(f"permutation acts on [{perm.n}] but decomposition is over [{n}]")
+    h = (n + 1) // 2
+    tables = []
+    for elements in (range(h), range(h, n)):
+        images = [0]
+        for i in elements:
+            # the words with this element are the earlier ones plus its image
+            bit = 1 << (perm.image[i] - 1)
+            images += [w | bit for w in images]
+        tables.append(images)
+    lo, hi = tables
+    low = (1 << h) - 1
+    chains = [tuple([lo[w & low] | hi[w >> h] for w in ch]) for ch in dec.chains]
+    chains.sort(key=_chain_order)
+    return Decomposition(n, tuple(chains))
 
 
 def chain_through(dec: Decomposition, word: int) -> tuple[int, int]:

@@ -228,6 +228,30 @@ def test_oracle_heuristic_payload(capsys):
     assert payload["min_count"] == supersat_bound(5, 2, 1)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "oracle --n 4 --k 2 --size 7".split(),
+        "oracle --n 3 --k 3 --size 5 --iters 0".split(),
+        "kleitman --n 3 --k 2".split(),
+        "kleitman --n 4 --k 3 --json".split(),
+    ],
+)
+def test_seed_is_accepted_and_ignored_on_the_exact_path(capsys, argv):
+    # --help says so; the exit code and stdout stay those of the default seed
+    assert run_cli(capsys, *argv, "--seed", "99") == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("command", ["oracle", "kleitman"])
+def test_seed_help_says_the_exact_path_ignores_it(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    # the option list comes after the usage line, which names --seed too
+    assert "ignore" in text.rsplit("--seed SEED", 1)[1].split("--iters", 1)[0]
+
+
 def test_oracle_exact_rejects_n5(capsys):
     code, _, err = run_cli(capsys, "oracle", "--n", "5", "--k", "2", "--size", "3")
     assert code == 3

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +70,22 @@ def test_naive_trivial_cases():
     for k in (1, 2, 3):
         assert count_k_chains_naive(empty, k) == 0
         assert count_k_chains(empty, k) == 0
+
+
+def test_naive_edge_cases_match_direct_enumeration():
+    # k = 1 and k = n + 1 are the two ends of the superset-list walk: no
+    # list is read at k = 1, and at k = n + 1 only full-length chains count
+    rng = random.Random(17)
+    for n in range(1, 6):
+        families = [Family.empty(n), Family.full(n), random_family(rng, n), random_family(rng, n)]
+        for fam in families:
+            for k in (1, 2, n + 1):
+                assert count_k_chains_naive(fam, k) == len(enumerate_chains(fam, k)), (n, k)
+        assert count_k_chains_naive(Family.empty(n), 1) == 0
+        assert count_k_chains_naive(Family.empty(n), n + 1) == 0
+        assert count_k_chains_naive(Family.full(n), 1) == 1 << n
+        assert count_k_chains_naive(Family.full(n), n + 1) == factorial(n)
+        assert count_k_chains_naive(Family.full(n), n + 2) == 0
 
 
 def test_k_beyond_longest_chain_counts_zero():

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -218,3 +219,66 @@ def test_canonical_chain_order():
         dec = build(5)
         keys = [(min(level(w) for w in ch), min(ch)) for ch in dec.chains]
         assert keys == sorted(keys)
+
+
+def per_word_image(dec, perm):
+    """`permute_decomposition` by the per-word reference and the checked constructor."""
+    return Decomposition.from_chains(
+        dec.n, [[perm.apply_to_word(w) for w in ch] for ch in dec.chains]
+    )
+
+
+def test_permute_matches_the_per_word_reference():
+    # every permutation for n <= 4; seeded ones at n = 9..12 cover both
+    # splits of the half-word tables (equal halves and a longer low half)
+    for n in range(1, 5):
+        dec = scd_inductive(n)
+        for image in permutations(range(1, n + 1)):
+            perm = Permutation(image)
+            assert permute_decomposition(dec, perm) == per_word_image(dec, perm), (n, image)
+    rng = random.Random(12)
+    for n in (9, 10, 11, 12):
+        dec = scd_inductive(n)
+        for _ in range(3):
+            image = list(range(1, n + 1))
+            rng.shuffle(image)
+            perm = Permutation(tuple(image))
+            assert permute_decomposition(dec, perm) == per_word_image(dec, perm), (n, image)
+
+
+def test_permute_keeps_the_checked_order_on_non_ascending_chains():
+    # chains listed out of inclusion order, a repeated word and words on
+    # no chain: the order must still be `from_chains`' order
+    dec = Decomposition.from_chains(4, [(7, 3, 1), (15, 0), (2, 6, 2), (12, 4, 5), (8,)])
+    assert dec.chains == ((15, 0), (7, 3, 1), (2, 6, 2), (12, 4, 5), (8,))
+    for image in permutations(range(1, 5)):
+        perm = Permutation(image)
+        permuted = permute_decomposition(dec, perm)
+        assert permuted == per_word_image(dec, perm), image
+        keys = [(min(level(w) for w in ch), min(ch)) for ch in permuted.chains]
+        assert keys == sorted(keys), image
+
+
+def test_scd_inductive_equals_the_checked_constructor():
+    for n in range(1, 13):
+        dec = scd_inductive(n)
+        assert dec == Decomposition.from_chains(n, dec.chains), n
+
+
+def test_from_chains_rejects_words_outside_the_ground_set():
+    with pytest.raises(ValueError):
+        Decomposition.from_chains(2, [(0, 1, 3), (4,)])
+    with pytest.raises(ValueError):
+        Decomposition.from_chains(2, [(0, 1, 3), (-1,)])
+    with pytest.raises(ValueError):
+        Decomposition.from_chains(2, [(0, 1, 3), ()])
+
+
+def test_validate_counts_repeats_and_coverage():
+    dec = Decomposition.from_chains(2, [(0, 1), (1,), (1, 3)])
+    report = validate_scd(dec)
+    assert report.problems[:2] == (
+        "2 subsets appear on more than one chain",
+        "chains cover 3 of 4 subsets",
+    )
+    assert "locator disagrees with chain 1 at position 0" in report.problems
