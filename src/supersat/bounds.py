@@ -6,9 +6,8 @@ extremal family construction that attains the bound."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from supersat.core import (
     Family,
@@ -190,8 +189,7 @@ def min_max_yz_exhaustive(n: int, k: int) -> tuple[int, tuple[int, ...]]:
     return best, arg
 
 
-@dataclass(frozen=True)
-class MinMaxYZReport:
+class MinMaxYZReport(NamedTuple):
     """Exhaustive audit of the max{y, z} minimization for one (n, k).
 
     The closed-form product is the minimum over every tuple avoiding the
@@ -300,8 +298,7 @@ def build_extremal_family(
     return build_b_family(n, k - 1, base_variant).with_words(chosen)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Everything the bound says about one (n, k, x) instance."""
 
     n: int

@@ -9,7 +9,6 @@ violation, 4 file error, 5 family-format error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import TYPE_CHECKING
 
@@ -48,6 +47,8 @@ def _jsonable(value):
 
 
 def _emit(payload: dict) -> None:
+    import json  # here, so that --version and usage errors never load it
+
     json.dump(_jsonable(payload), sys.stdout)
     sys.stdout.write("\n")
 
@@ -305,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--heuristic", action="store_true", help="annealing search (n <= 10)")
     p.add_argument("--seed", type=int, default=0,
                    help="annealing seed; only --heuristic reads it, the exact sweep ignores it")
-    p.add_argument("--iters", type=int, default=2000)
+    p.add_argument("--iters", type=int, default=2000,
+                   help="annealing steps, at least 0; only --heuristic runs them, "
+                   "the exact sweep ignores the value")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("kleitman", help="minimum vs centered construction for every size")
@@ -313,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0,
                    help="annealing seed for n >= 5; ignored for n <= 4, where every row is exact")
-    p.add_argument("--iters", type=int, default=500)
+    p.add_argument("--iters", type=int, default=500,
+                   help="annealing steps per size for n >= 5, at least 0; "
+                   "ignored for n <= 4, where every row is exact")
     p.add_argument("--json", action="store_true", help="JSON instead of the TSV table")
     p.set_defaults(func=_cmd_kleitman)
 

@@ -10,7 +10,6 @@ membership int.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -112,24 +111,69 @@ class LevelInterval(NamedTuple):
         return self.hi - self.lo + 1
 
 
-@dataclass(frozen=True)
-class Family:
+class _Value:
+    """The dunders shared by the validated value classes (`Family`,
+    `scd.Permutation`, `scd.Decomposition`).
+
+    A subclass names its fields in `_fields` and sets them once, through
+    `_set`, in `__init__`; after that assignment and deletion raise
+    `AttributeError`.  An instance equals only an instance of its own class
+    with equal fields, hashes on its fields, and pickles and copies back
+    through `__init__`, so the copy is validated again.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class Family(_Value):
     """Set family over [n]: byte s of `mask` is 1 iff the subset with word s
     belongs to the family, and 0 otherwise.  The mask is the family's
     identity, so equal families compare and hash alike.  Immutable and safe
     to share across threads.
     """
 
+    _fields = ("n", "mask")
     n: int
-    mask: bytes = field(repr=False)
+    mask: bytes
 
-    def __post_init__(self):
-        check_ground_set(self.n)
+    def __init__(self, n: int, mask: bytes):
+        check_ground_set(n)
         # a bytearray would leave the family mutable through an alias
-        if type(self.mask) is not bytes:
-            raise TypeError(f"mask must be bytes, got {type(self.mask).__name__}")
-        if len(self.mask) != 1 << self.n or self.mask.translate(None, b"\0\1"):
-            raise ValueError(f"mask must hold one 0/1 byte for each of the {1 << self.n} subsets")
+        if type(mask) is not bytes:
+            raise TypeError(f"mask must be bytes, got {type(mask).__name__}")
+        if len(mask) != 1 << n or mask.translate(None, b"\0\1"):
+            raise ValueError(f"mask must hold one 0/1 byte for each of the {1 << n} subsets")
+        self._set(n, mask)
+
+    def __repr__(self) -> str:
+        return f"Family(n={self.n})"  # the mask is 2^n bytes
 
     @classmethod
     def from_bits(cls, n: int, bits: int) -> "Family":

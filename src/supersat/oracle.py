@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from supersat.core import Family, binom, check_ground_set, level_words
 from supersat.bounds import added_row_level, colex_smallest
@@ -22,8 +22,7 @@ EXACT_N_MAX = 4
 HEURISTIC_N_MAX = 10
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Minimum (or best-found) k-chain count over families of a given size."""
 
     n: int
@@ -218,8 +217,7 @@ def min_chain_count_heuristic(
     return OracleResult(n, k, m, best_count, Family(n, best_mask), False)
 
 
-@dataclass(frozen=True)
-class KleitmanRow:
+class KleitmanRow(NamedTuple):
     """One family size compared against the centered construction."""
 
     size: int

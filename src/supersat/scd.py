@@ -5,11 +5,10 @@ decompositions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from supersat.core import binom, check_ground_set, check_word, level
+from supersat.core import _Value, binom, check_ground_set, check_word, level
 
 # A chain is a strictly inclusion-increasing tuple of subset words.
 Chain = tuple[int, ...]
@@ -20,17 +19,18 @@ def _chain_order(ch: Chain) -> tuple[int, int]:
     return min(map(int.bit_count, ch)), min(ch)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Value):
     """Bijection of [n]; image[i] is where element i+1 goes."""
 
+    _fields = ("image",)
     image: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.image)
+    def __init__(self, image: tuple[int, ...]):
+        n = len(image)
         check_ground_set(n)
-        if sorted(self.image) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of [1, {n}]: {self.image}")
+        if sorted(image) != list(range(1, n + 1)):
+            raise ValueError(f"not a bijection of [1, {n}]: {image}")
+        self._set(image)
 
     @property
     def n(self) -> int:
@@ -60,25 +60,29 @@ class Permutation:
         return Permutation(tuple(inv))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Value):
     """Chains covering the subset lattice, with a word -> (chain, position) locator.
 
-    Construction canonicalizes chain order but does not require the chains
-    to form a valid SCD; `validate_scd` reports that, so deliberately broken
+    `__init__` stores the chains as given; `from_chains` checks the words
+    and canonicalizes chain order.  Neither requires the chains to form a
+    valid SCD; `validate_scd` reports that, so deliberately broken
     decompositions can be represented in tests.  The locator is built from
     the chains on first use, so a plain dump of the chains never pays for it.
     """
 
+    _fields = ("n", "chains")
     n: int
     chains: tuple[Chain, ...]
+
+    def __init__(self, n: int, chains: tuple[Chain, ...]):
+        self._set(n, chains)
 
     @classmethod
     def from_chains(cls, n: int, chains: Iterable[Sequence[int]]) -> "Decomposition":
         """The checked constructor: every chain nonempty and every word a
         subset of [n], chains sorted by `_chain_order`.
 
-        `scd_inductive` and `permute_decomposition` build the dataclass
+        `scd_inductive` and `permute_decomposition` call the class
         directly and skip the word checks, since their words are subsets of
         [n] by construction: the inductive chains add bits below n to words
         of [n - 1], and a permutation of [n] maps the words of a checked
@@ -180,8 +184,7 @@ def scd_bracketing(n: int) -> Decomposition:
     return scd_inductive(n)
 
 
-@dataclass(frozen=True)
-class ScdValidation:
+class ScdValidation(NamedTuple):
     """Per-property outcome of validating a decomposition as an SCD."""
 
     partition: bool

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from supersat.core import Family, binom, sigma
 from supersat.scd import (
@@ -36,8 +36,7 @@ from supersat.bounds import (
 )
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

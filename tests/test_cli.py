@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import subprocess
 import sys
@@ -252,6 +251,38 @@ def test_seed_help_says_the_exact_path_ignores_it(capsys, command):
     assert "ignore" in text.rsplit("--seed SEED", 1)[1].split("--iters", 1)[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "oracle --n 4 --k 2 --size 7".split(),
+        "oracle --n 3 --k 3 --size 5 --seed 4".split(),
+        "kleitman --n 3 --k 2".split(),
+        "kleitman --n 4 --k 3 --json".split(),
+    ],
+)
+def test_iters_is_accepted_and_ignored_on_the_exact_path(capsys, argv):
+    # --help says so; the exit code and stdout stay those of the default count
+    default = run_cli(capsys, *argv)
+    assert default[0] == 0
+    for iters in ("0", "7", "100000"):
+        assert run_cli(capsys, *argv, "--iters", iters) == default
+
+
+@pytest.mark.parametrize("command", ["oracle", "kleitman"])
+def test_iters_help_says_the_exact_path_ignores_it(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the option's own entry: its line and the wrapped lines up to the next option
+    start = next(i for i, line in enumerate(lines) if line.lstrip().startswith("--iters ITERS"))
+    end = next(
+        (i for i in range(start + 1, len(lines)) if lines[i].lstrip().startswith("-")), len(lines)
+    )
+    entry = " ".join(" ".join(lines[start:end]).split())
+    assert "ignore" in entry and "exact" in entry
+
+
 def test_oracle_exact_rejects_n5(capsys):
     code, _, err = run_cli(capsys, "oracle", "--n", "5", "--k", "2", "--size", "3")
     assert code == 3
@@ -293,7 +324,7 @@ def test_verify_theorem_reports_the_failing_yz_case(monkeypatch):
     real = verify.min_max_yz_verification
 
     def broken(n, k):
-        return dataclasses.replace(real(n, k), predicted_attains=(n, k) != (5, 3))
+        return real(n, k)._replace(predicted_attains=(n, k) != (5, 3))
 
     monkeypatch.setattr(verify, "min_max_yz_verification", broken)
     checks = {c.name: c for c in verify.theorem_suite()}

@@ -12,15 +12,19 @@ import pytest
 
 import supersat
 
-# runs the CLI in a fresh interpreter, then prints the supersat modules it loaded
+# runs the CLI in a fresh interpreter, then prints every module it loaded
+# beyond those the bare interpreter had loaded before the probe's first line
 _PROBE = """
-import json, sys
+import sys
+bare = set(sys.modules)
 from supersat.cli import main
 try:
     main(sys.argv[1:])
 except SystemExit:
     pass
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("supersat"))))
+loaded = sorted(set(sys.modules) - bare)
+import json
+print(json.dumps(loaded))
 """
 
 
@@ -32,8 +36,12 @@ def _python(*argv, cwd=None):
     return proc.stdout
 
 
-def loaded_by(*cli_args, cwd=None):
+def modules_loaded_by(*cli_args, cwd=None):
     return set(json.loads(_python("-c", _PROBE, *cli_args, cwd=cwd).splitlines()[-1]))
+
+
+def loaded_by(*cli_args, cwd=None):
+    return {m for m in modules_loaded_by(*cli_args, cwd=cwd) if m.startswith("supersat")}
 
 
 def test_import_supersat_loads_no_submodule():
@@ -47,6 +55,40 @@ def test_version_loads_only_the_cli():
 
 def test_usage_error_loads_only_the_cli():
     assert loaded_by("verify", "--suite", "nope") == {"supersat", "supersat.cli"}
+
+
+@pytest.mark.parametrize("argv", [("--version",), ("verify", "--suite", "nope")])
+def test_version_and_usage_errors_load_no_json(argv):
+    assert not {m for m in modules_loaded_by(*argv) if m == "json" or m.startswith("json.")}
+
+
+# the subcommands the CI workflow runs through the installed console script,
+# at sizes that keep each process short
+CI_COMMANDS = [
+    ("--version",),
+    ("sigma", "--n", "5", "--k", "2"),
+    ("bound", "--n", "12", "--k", "3", "--x", "5"),
+    ("oracle", "--n", "4", "--k", "2", "--size", "7"),
+    ("oracle", "--n", "6", "--k", "2", "--size", "25", "--heuristic", "--seed", "1", "--iters", "20"),
+    ("nperm", "--n", "4", "--levels", "1,2", "--enumerate"),
+    ("kleitman", "--n", "4", "--k", "3", "--json"),
+    ("verify", "--suite", "scd"),
+    ("verify", "--suite", "theorem"),
+    ("scd", "--n", "5", "--permute", "2,3,4,5,1"),
+    ("scd", "--n", "6", "--method", "bracketing", "--validate"),
+    ("construct", "--n", "12", "--k", "3", "--x", "5", "--out", "f.fam"),
+    ("construct", "--n", "12", "--k", "3", "--x", "5"),
+    ("count", "--k", "3", "--family", "g.fam"),
+]
+
+
+@pytest.mark.parametrize("argv", CI_COMMANDS, ids=" ".join)
+def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path, argv):
+    # dataclasses imports inspect, which imports ast, dis and tokenize: about
+    # 12 ms of start-up that every command would pay
+    (tmp_path / "g.fam").write_text("n=3\n1\n1 2\n1 2 3\n", encoding="utf-8")
+    loaded = modules_loaded_by(*argv, cwd=tmp_path)
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
 
 
 def test_count_loads_core_and_counting_only(tmp_path):
