@@ -12,14 +12,12 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequ
 from supersat.core import (
     Family,
     LevelInterval,
-    VARIANTS,
+    _rows_family,
     binom,
-    build_b_family,
     check_ground_set,
     check_word,
     level,
     level_words,
-    middle_levels,
     sigma,
 )
 
@@ -58,6 +56,17 @@ def supersat_bound(n: int, k: int, x: int) -> int:
     if x < 0:
         raise ValueError(f"surplus x must be nonnegative, got {x}")
     return x * min_max_yz(n, k)
+
+
+def middle_rows(n: int, j: int) -> LevelInterval:
+    """The first j rows of the middle-out order n//2, n//2 + 1, n//2 - 1,
+    n//2 + 2, ...: one of the two `middle_levels` blocks of j rows, and the
+    empty interval (lo = hi + 1) for j = 0.  `added_row_level(n, j + 1)`
+    is the row that extends it to j + 1 rows."""
+    check_ground_set(n)
+    if not 0 <= j <= n + 1:
+        raise ValueError(f"row count must be in [0, {n + 1}], got {j}")
+    return LevelInterval(n // 2 - (j - 1) // 2, n // 2 + j // 2)
 
 
 def added_row_level(n: int, k: int) -> int:
@@ -263,31 +272,16 @@ def build_extremal_family(
 ) -> Family:
     """The k-chain-free maximum family plus x sets on the adjacent middle row.
 
-    The base is the variant of the k-1 middle rows sitting on the opposite
-    side of the added row, so the filled levels form one contiguous block of
-    k middle rows; contiguity is validated rather than assumed.  `selector`
-    picks the x sets on the added row (default: colexicographically
-    smallest); any choice yields the same chain count.
+    The base is the first k-1 rows of the middle-out order (`middle_rows`)
+    and the added row is the k-th, so the filled levels lie in one block of
+    k middle rows.  `selector` picks the x sets on the added row (default:
+    colexicographically smallest); any choice yields the same chain count.
     """
     _check_nk(n, k)
     limit = tight_x_max(n, k)
     if not 0 <= x <= limit:
         raise ValueError(f"x must be in [0, {limit}] for a tight construction, got {x}")
     row = added_row_level(n, k)
-
-    base: Optional[LevelInterval] = None
-    base_variant = None
-    for variant in VARIANTS:
-        interval = middle_levels(n, k - 1, variant)
-        if row in (interval.hi + 1, interval.lo - 1):
-            base, base_variant = interval, variant
-            break
-    if base is None:
-        raise RuntimeError(f"no middle-row variant is adjacent to row {row}")
-    union = LevelInterval(min(base.lo, row), max(base.hi, row))
-    if union not in (middle_levels(n, k, "floor"), middle_levels(n, k, "ceil")):
-        raise RuntimeError(f"rows {union} do not form a block of {k} middle rows")
-
     chosen = list(selector(n, row, x)) if selector is not None else colex_smallest(n, row, x)
     if len(chosen) != x or len(set(chosen)) != x:
         raise ValueError(f"selector must yield {x} distinct sets")
@@ -295,7 +289,7 @@ def build_extremal_family(
         check_word(w, n)
         if level(w) != row:
             raise ValueError(f"selector returned a set of size {level(w)}, expected {row}")
-    return build_b_family(n, k - 1, base_variant).with_words(chosen)
+    return _rows_family(n, middle_rows(n, k - 1), chosen)
 
 
 class BoundReport(NamedTuple):

@@ -241,21 +241,37 @@ def sigma(n: int, k: int) -> int:
     return sum(binom(n, lvl) for lvl in range(lo, hi + 1))
 
 
-def build_b_family(n: int, k: int, variant: str = "floor") -> Family:
-    """Family of all subsets whose size falls in the k middle levels.
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
-    A byte table of popcounts over the 2^n words is built by doubling: the
-    words with the next bit set are the ones before them plus one element,
-    so `pc += pc.translate(plus_one)`.  One more translate maps the levels
-    lo..hi to 1 and every other level to 0, which is the mask.
-    """
-    lo, hi = middle_levels(n, k, variant)
-    plus_one = bytes(range(1, 256)) + b"\0"
+
+def _popcounts(n: int) -> bytes:
+    """Byte w is the popcount of word w, for the 2^n words of n bits.
+
+    Built by doubling: the words with the next bit set are the ones before
+    them plus one element, so `pc += pc.translate(_PLUS_ONE)`."""
     pc = b"\0"
     for _ in range(n):
-        pc += pc.translate(plus_one)
-    band = bytes(lo <= lvl <= hi for lvl in range(256))
-    return Family(n, pc.translate(band))
+        pc += pc.translate(_PLUS_ONE)
+    return pc
+
+
+def _rows_family(n: int, rows: LevelInterval, words: Iterable[int] = ()) -> Family:
+    """Every subset whose size lies in rows.lo..rows.hi (none for the empty
+    interval lo = hi + 1), plus `words`, which the caller has checked are
+    subsets of [n].
+
+    One translate of the popcount table maps those levels to 1 and every
+    other level to 0, which is the mask of the rows."""
+    band = bytes(rows.lo) + b"\1" * rows.width + bytes(256 - rows.lo - rows.width)
+    mask = bytearray(_popcounts(n).translate(band))
+    for w in words:
+        mask[w] = 1
+    return Family(n, bytes(mask))
+
+
+def build_b_family(n: int, k: int, variant: str = "floor") -> Family:
+    """Family of all subsets whose size falls in the k middle levels."""
+    return _rows_family(n, middle_levels(n, k, variant))
 
 
 def format_word(word: int) -> str:

@@ -14,9 +14,9 @@ import random
 from functools import lru_cache
 from typing import NamedTuple
 
-from supersat.core import Family, binom, check_ground_set, level_words
-from supersat.bounds import added_row_level, colex_smallest
-from supersat.counting import _count, _zeta, count_k_chains
+from supersat.core import Family, _popcounts, _rows_family, binom, check_ground_set, sigma
+from supersat.bounds import added_row_level, colex_smallest, middle_rows
+from supersat.counting import _check_k, _count, _zeta, count_k_chains
 
 EXACT_N_MAX = 4
 HEURISTIC_N_MAX = 10
@@ -31,6 +31,12 @@ class OracleResult(NamedTuple):
     min_count: int
     witness: Family
     exact: bool
+
+
+def _check_exact_n(n: int) -> None:
+    check_ground_set(n)
+    if n > EXACT_N_MAX:
+        raise ValueError(f"exact sweep supports n <= {EXACT_N_MAX}, got {n}")
 
 
 def _check_size(n: int, m: int) -> None:
@@ -70,11 +76,8 @@ def _exact_table(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # B_4 holds at most 110 k-chains (k = 3), and every field of the
     # transform counts some of them, so one-byte fields never carry
     counts = _zeta(int.from_bytes(marks, "little"), size, 1)
-    # family sizes by doubling, as in build_b_family
-    plus_one = bytes(range(1, 256)) + b"\0"
-    sizes = b"\0"
-    for _ in range(size):
-        sizes += sizes.translate(plus_one)
+    # byte f is the size of family f, the popcount of its membership bitset
+    sizes = _popcounts(size)
     mins, wits = [], []
     for m in range(size + 1):
         off_m = sizes.translate(bytes(0 if j == m else 0xFF for j in range(256)))
@@ -90,11 +93,8 @@ def _exact_table(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def min_chain_count_exact(n: int, k: int, m: int) -> OracleResult:
     """Exact minimum of the k-chain count over every size-m family, with the
     smallest-bitset witness; full 2^(2^n) sweep, so n <= 4."""
-    check_ground_set(n)
-    if n > EXACT_N_MAX:
-        raise ValueError(f"exact sweep supports n <= {EXACT_N_MAX}, got {n}")
-    if k < 1:
-        raise ValueError(f"chain length k must be >= 1, got {k}")
+    _check_exact_n(n)
+    _check_k(k)
     _check_size(n, m)
     mins, wits = _exact_table(n, k)
     return OracleResult(n, k, m, mins[m], Family.from_bits(n, wits[m]), True)
@@ -103,60 +103,42 @@ def min_chain_count_exact(n: int, k: int, m: int) -> OracleResult:
 def max_free_family(n: int, k: int) -> tuple[int, Family]:
     """Largest size at which some family avoids k-chains entirely, with a
     witness family."""
-    check_ground_set(n)
-    if n > EXACT_N_MAX:
-        raise ValueError(f"exact sweep supports n <= {EXACT_N_MAX}, got {n}")
-    if k < 1:
-        raise ValueError(f"chain length k must be >= 1, got {k}")
+    _check_exact_n(n)
+    _check_k(k)
     mins, wits = _exact_table(n, k)
     best = max(m for m in range(len(mins)) if mins[m] == 0)
     return best, Family.from_bits(n, wits[best])
-
-
-def centered_level_order(n: int) -> list[int]:
-    """All levels ordered middle-out: n//2, then alternating above/below."""
-    check_ground_set(n)
-    return [n // 2] + [added_row_level(n, j) for j in range(2, n + 2)]
 
 
 def centered_family(n: int, m: int, mirror_partial: bool = False) -> Family:
     """Size-m family filling whole levels middle-out, partial level in colex
     order.
 
-    With `mirror_partial` the partly filled level is taken from the opposite
-    end of the filled block (the other variant when the block leaves a side
-    choice); falls back to the standard side when no mirror level exists.
+    The full levels are the largest block `middle_rows(n, j)` with
+    sigma(n, j) <= m, and the other x = m - sigma(n, j) sets are the
+    colex-smallest ones on the next row of the middle-out order.  With
+    `mirror_partial` they sit on the row at the other end of the block
+    instead (n - n//2 when the block is empty), unless that row does not
+    exist or holds fewer than x sets.
     """
     check_ground_set(n)
     _check_size(n, m)
-    words: list[int] = []
-    remaining = m
-    order = centered_level_order(n)
-    for idx, row in enumerate(order):
-        if remaining == 0:
-            break
-        size = binom(n, row)
-        if remaining >= size:
-            words.extend(level_words(n, row))
-            remaining -= size
-            continue
-        if mirror_partial:
-            row = _mirror_row(n, order[:idx], row, remaining)
-        words.extend(colex_smallest(n, row, remaining))
-        remaining = 0
-    return Family.from_words(n, words)
-
-
-def _mirror_row(n: int, filled: list[int], row: int, remaining: int) -> int:
-    if not filled:
-        mirror = n - row
-    elif row > max(filled):
-        mirror = min(filled) - 1
+    j = 0
+    while j <= n and sigma(n, j + 1) <= m:
+        j += 1
+    block = middle_rows(n, j)
+    x = m - sigma(n, j)
+    if not x:
+        return _rows_family(n, block)
+    if j:
+        row = added_row_level(n, j + 1)
+        other = block.lo - 1 if row > block.hi else block.hi + 1
     else:
-        mirror = max(filled) + 1
-    if 0 <= mirror <= n and mirror not in filled and binom(n, mirror) >= remaining:
-        return mirror
-    return row
+        row, other = n // 2, n - n // 2
+    # binom is 0 off the lattice, so a missing row holds too few sets
+    if mirror_partial and binom(n, other) >= x:
+        row = other
+    return _rows_family(n, block, colex_smallest(n, row, x))
 
 
 def min_chain_count_heuristic(
@@ -170,8 +152,7 @@ def min_chain_count_heuristic(
     check_ground_set(n)
     if n > HEURISTIC_N_MAX:
         raise ValueError(f"heuristic search supports n <= {HEURISTIC_N_MAX}, got {n}")
-    if k < 1:
-        raise ValueError(f"chain length k must be >= 1, got {k}")
+    _check_k(k)
     _check_size(n, m)
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
@@ -246,8 +227,7 @@ def kleitman_report(
     search, since no family can do better.
     """
     check_ground_set(n)
-    if k < 1:
-        raise ValueError(f"chain length k must be >= 1, got {k}")
+    _check_k(k)
     if n > HEURISTIC_N_MAX:
         raise ValueError(f"report supports n <= {HEURISTIC_N_MAX}, got {n}")
     if iterations < 0:
@@ -261,7 +241,7 @@ def kleitman_report(
         elif built == 0:
             found = 0
         else:
-            result = min_chain_count_heuristic(n, k, m, seed=seed, iterations=iterations)
-            found = min(result.min_count, built)
+            # the walk starts at the construction and only records lower counts
+            found = min_chain_count_heuristic(n, k, m, seed=seed, iterations=iterations).min_count
         rows.append(KleitmanRow(m, found, exact, built, found == built))
     return rows

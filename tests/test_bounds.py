@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from supersat.core import binom, build_b_family, level_words, sigma
+from supersat.core import LevelInterval, binom, build_b_family, level_words, middle_levels, sigma
 from supersat.counting import count_k_chains
 from supersat.scd import scd_bracketing, scd_inductive
 from supersat.bounds import (
@@ -13,6 +13,7 @@ from supersat.bounds import (
     bound_report,
     build_extremal_family,
     colex_smallest,
+    middle_rows,
     min_max_yz,
     min_max_yz_exhaustive,
     min_max_yz_minimizer,
@@ -69,6 +70,25 @@ def test_tight_x_max_values():
 def test_added_row_alternates_around_middle():
     assert [added_row_level(8, k) for k in (2, 3, 4, 5)] == [5, 3, 6, 2]
     assert [added_row_level(7, k) for k in (2, 3, 4)] == [4, 2, 5]
+
+
+def test_middle_rows_grow_by_the_added_row():
+    # the first k rows of the middle-out order: a middle-levels block, and
+    # the k-th row extends the first k - 1 rows on one side
+    for n in range(1, 21):
+        assert middle_rows(n, 0).width == 0
+        for k in range(1, n + 2):
+            block = middle_rows(n, k)
+            assert block in (middle_levels(n, k, "floor"), middle_levels(n, k, "ceil")), (n, k)
+            if k >= 2:
+                base, row = middle_rows(n, k - 1), added_row_level(n, k)
+                assert row in (base.lo - 1, base.hi + 1), (n, k)
+                assert block == LevelInterval(min(base.lo, row), max(base.hi, row)), (n, k)
+    assert tuple(middle_rows(4, 1)) == (2, 2)
+    assert [tuple(middle_rows(5, k)) for k in (2, 3, 4)] == [(2, 3), (1, 3), (1, 4)]
+    for j in (-1, 6):
+        with pytest.raises(ValueError):
+            middle_rows(4, j)
 
 
 def test_factorial_form_by_exhaustive_permutation_count():

@@ -2,13 +2,12 @@ from itertools import combinations
 
 import pytest
 
-from supersat.core import Family, sigma
+from supersat.core import Family, binom, level_words, sigma
 from supersat.counting import _zeta, count_k_chains, count_k_chains_naive
 from supersat.bounds import supersat_bound, tight_x_max, build_extremal_family
 from supersat.oracle import (
     _exact_table,
     centered_family,
-    centered_level_order,
     construction_count,
     kleitman_report,
     max_free_family,
@@ -147,22 +146,55 @@ def test_max_free_family_recovers_thresholds():
     assert count_k_chains(witness, 4) == 0
 
 
-def test_centered_level_order_is_middle_out():
-    assert centered_level_order(4) == [2, 3, 1, 4, 0]
-    assert centered_level_order(5) == [2, 3, 1, 4, 0, 5]
-    for n in range(1, 12):
-        assert sorted(centered_level_order(n)) == list(range(n + 1))
-
-
 def test_centered_family_matches_extremal_construction():
-    for n in range(2, 9):
-        for ell in range(1, n):
-            k = ell + 1
-            if k > n + 1:
-                continue
-            for x in {0, 1, tight_x_max(n, k)}:
-                fam = centered_family(n, sigma(n, ell) + x)
-                assert fam == build_extremal_family(n, k, x)
+    for n in range(1, 11):
+        for k in range(2, n + 2):
+            for x in range(tight_x_max(n, k) + 1):
+                fam = centered_family(n, sigma(n, k - 1) + x)
+                assert fam == build_extremal_family(n, k, x), (n, k, x)
+
+
+def _middle_out(n):
+    """Levels n//2, n//2 + 1, n//2 - 1, n//2 + 2, ..., listed independently
+    of the library's block and row formulas."""
+    return sorted(range(n + 1), key=lambda lvl: (abs(lvl - n // 2), lvl < n // 2))
+
+
+def test_centered_family_shape_on_both_sides():
+    # full rows: a prefix of the middle-out order; partial row: a colex
+    # prefix on the next row, or with mirror_partial on the row past the
+    # other end of the prefix (n - n//2 for an empty prefix) when it has room
+    assert _middle_out(4) == [2, 3, 1, 4, 0]
+    assert _middle_out(5) == [2, 3, 1, 4, 0, 5]
+    for n in range(1, 9):
+        order = _middle_out(n)
+        for m in range((1 << n) + 1):
+            for mirror in (False, True):
+                fam = centered_family(n, m, mirror_partial=mirror)
+                assert fam.size() == m
+                by_level = [[] for _ in range(n + 1)]
+                for w in fam.words():
+                    by_level[w.bit_count()].append(w)
+                filled = [sum(binom(n, lvl) for lvl in order[:j]) for j in range(n + 2)]
+                j = max(j for j in range(n + 2) if filled[j] <= m)
+                x = m - filled[j]
+                full = order[:j]
+                assert all(len(by_level[lvl]) == binom(n, lvl) for lvl in full), (n, m, mirror)
+                rest = {lvl: ws for lvl, ws in enumerate(by_level) if ws and lvl not in full}
+                if not x:
+                    assert not rest, (n, m, mirror)
+                    continue
+                want = order[j]
+                if mirror:
+                    if not full:
+                        other = n - want
+                    elif want > max(full):
+                        other = min(full) - 1
+                    else:
+                        other = max(full) + 1
+                    if 0 <= other <= n and binom(n, other) >= x:
+                        want = other
+                assert rest == {want: list(level_words(n, want))[:x]}, (n, m, mirror)
 
 
 def test_centered_family_sizes_and_extremes():
@@ -263,6 +295,20 @@ def test_kleitman_report_heuristic_rows():
         if row.size <= sigma(5, 2):
             assert row.min_count >= supersat_bound(5, 2, max(0, row.size - threshold))
             assert row.equal
+
+
+def test_kleitman_rows_never_beat_the_construction():
+    # the centered construction is optimal at every size (Kleitman 1968 for
+    # k = 2, Samotij 2019 in full), so a row below it is a bug in the counts
+    # or in the construction; exact rows for n <= 4, annealed rows above
+    for n in range(1, 5):
+        for k in range(1, n + 3):
+            assert all(row.equal for row in kleitman_report(n, k)), (n, k)
+    for n in (5, 6):
+        for k in (2, 3, 4):
+            rows = kleitman_report(n, k, seed=7, iterations=100)
+            assert not any(row.exact for row in rows)
+            assert all(row.equal for row in rows), (n, k)
 
 
 def test_construction_count_prefers_better_side():
