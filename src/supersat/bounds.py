@@ -125,7 +125,12 @@ def n_permutations_enumerate(dec: Decomposition, chain: Sequence[int]) -> int:
     """Brute-force permutation count over all n! relabelings; n <= 7.
 
     Relabeling the chain instead of the decomposition visits the same
-    permutation count, so a single locator serves all n! checks.
+    permutation count, so a single locator serves all n! checks.  A
+    relabeling is the tuple of the n element bits' images, and each chain
+    set's image is the image of the set below it plus the images of the
+    elements it adds, so one relabeling costs one OR per element of the top
+    set.  `Permutation.apply_to_word` is the per-word reference the tests
+    compare against.
     """
     n = dec.n
     check_enumerable(n)
@@ -137,17 +142,16 @@ def n_permutations_enumerate(dec: Decomposition, chain: Sequence[int]) -> int:
     for a, b in zip(chain, chain[1:]):
         if a == b or (a & b) != a:
             raise ValueError("input sets must strictly increase under inclusion")
+    added = [[i for i in range(n) if (w ^ below) >> i & 1] for below, w in zip((0,) + chain, chain)]
+    locator = dec.locator
     count = 0
-    for image in permutations(range(n)):
+    for image in permutations([1 << i for i in range(n)]):
+        out = 0
         target = None
-        for w in chain:
-            out = 0
-            rest = w
-            while rest:
-                low = rest & -rest
-                out |= 1 << image[low.bit_length() - 1]
-                rest ^= low
-            idx, _ = dec.locator[out]
+        for elements in added:
+            for i in elements:
+                out |= image[i]
+            idx, _ = locator[out]
             if target is None:
                 target = idx
             elif idx != target:

@@ -10,7 +10,7 @@ membership int.
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import chain, compress
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 # The chain-count kernel holds a few packed ints of 2^n fields, each
@@ -344,6 +344,22 @@ def _decimal(token: str) -> int:
     return int(token)
 
 
+# characters per slice of the family text that `parse_family` splits at once
+_SLICE_CHARS = 1 << 16
+
+
+def _text_slices(text: str) -> Iterator[str]:
+    """`text` in slices of about `_SLICE_CHARS` characters, each ending just
+    after a "\\n" or at the end of the text.  Every line break that holds a
+    "\\n" ends with it ("\\r\\n" is one break), so no break spans a cut and the
+    slices split into exactly the lines of `text.splitlines()`."""
+    start, end = 0, len(text)
+    while start < end:
+        cut = text.find("\n", start + _SLICE_CHARS - 1) + 1 or end
+        yield text[start:cut]
+        start = cut
+
+
 def parse_family(text: str) -> Family:
     """Parse the family file format.
 
@@ -353,9 +369,11 @@ def parse_family(text: str) -> Family:
 
     Each token is looked up in a table of the n strings "1".."n"; a line
     with any other token or a repeated element goes through `_line_word`,
-    which reads leading zeros and raises every format error.
+    which reads leading zeros and raises every format error.  The lines are
+    split one slice of the text at a time (`_text_slices`), so the lines of
+    only one slice are alive at once.
     """
-    numbered = enumerate(text.splitlines(), start=1)
+    numbered = enumerate(chain.from_iterable(map(str.splitlines, _text_slices(text))), start=1)
     for lineno, raw in numbered:
         line = raw.split("#", 1)[0].strip()
         if line:

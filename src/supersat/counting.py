@@ -36,20 +36,27 @@ def _zeta(table: int, bits: int, width: int) -> int:
     bytes each, field i at bits [8*width*i, 8*width*(i+1)): field B becomes
     the sum of fields A over every index A contained in B.
 
-    Pass b adds each field whose index has bit b clear onto its partner with
-    bit b set, with one mask, one shift and one addition on the whole int.
-    The caller guarantees every sum fits its field: a carry would spill into
-    the next field.
+    The pass for bit b adds each field whose index has bit b clear onto its
+    partner with bit b set: one mask, one shift and one addition on the
+    whole int.  The passes run from the top bit down.  The mask of bit b is
+    runs of `shift` one bits alternating with `shift` zero bits from bit 0,
+    where `shift = 8 * width * 2^b` is the distance to the partner; the top
+    bit's is the low half of the table, `(1 << shift) - 1`.  Halving `shift`
+    and setting `mask ^= mask << shift` turns every run of 2 * shift ones or
+    zeros into shift ones then shift zeros, the mask of the next bit down:
+    two big-int operations per mask instead of building it from bytes.
+    Passes over different bits commute, since each adds along its own
+    coordinate of the index cube, so any order gives the same fields.
+    The mask is one more table-sized int alive during the passes.  The caller
+    guarantees every sum fits its field: a carry would spill into the next
+    field.
     """
-    half = width
-    for b in range(bits):
-        # the mask selects the fields with bit b clear; built inside the
-        # expression, neither its bytes nor its int outlives the pass, which
-        # keeps peak memory down
-        table += (
-            table & int.from_bytes((b"\xff" * half + bytes(half)) * (1 << (bits - 1 - b)), "little")
-        ) << (half << 3)
-        half <<= 1
+    shift = (width << 3) << bits >> 1
+    mask = (1 << shift) - 1
+    for _ in range(bits):
+        table += (table & mask) << shift
+        shift >>= 1
+        mask ^= mask << shift
     return table
 
 

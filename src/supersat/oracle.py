@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from supersat.core import Family, _popcounts, _rows_family, binom, check_ground_set, sigma
@@ -56,9 +58,14 @@ def _exact_table(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     witnesses) indexed by family size m; the witness is the smallest
     membership bitset attaining the minimum.
 
-    The minima are read without a Python loop over the families: with every
-    family off size m banded to 0xFF, above any count, the first byte value
-    that `bytes.find` hits is the minimum and the hit its smallest witness.
+    The minima are read without a Python loop over the families.  Family
+    f = (r << h) | c sits in row r, column c of the table, h = 2^n // 2.
+    Transposing the table with its columns taken in popcount order, then
+    transposing back, regroups every row's columns by popcount, ascending
+    within one popcount.  The families of size m are then, row after row,
+    one run of columns of popcount m - |r| each, in ascending bitset order,
+    so in their joined bytes the first `bytes.find` hit of the least count
+    present is the minimum and its hit the smallest witness.
     """
     size = 1 << n
     # (top word, word bitset) of every j-chain, grown by one strict superset at a time
@@ -75,18 +82,36 @@ def _exact_table(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         marks[bits] = 1
     # B_4 holds at most 110 k-chains (k = 3), and every field of the
     # transform counts some of them, so one-byte fields never carry
-    counts = _zeta(int.from_bytes(marks, "little"), size, 1)
-    # byte f is the size of family f, the popcount of its membership bitset
-    sizes = _popcounts(size)
+    counts = _zeta(int.from_bytes(marks, "little"), size, 1).to_bytes(1 << size, "little")
+    h = size >> 1
+    ncols, nrows = 1 << h, 1 << (size - h)
+    pc = _popcounts(size - h)
+    order = sorted(range(ncols), key=pc.__getitem__)
+    # the columns of popcount b are order[starts[b]:starts[b + 1]]
+    starts = [0, *accumulate(binom(h, b) for b in range(h + 1))]
+    by_column = b"".join(counts[c::ncols] for c in order)
+    table = b"".join(by_column[r::nrows] for r in range(nrows))
+    rows: list[list[int]] = [[] for _ in range(size + 1)]
+    runs: list[list[bytes]] = [[] for _ in range(size + 1)]
+    for r in range(nrows):
+        base = r << h
+        for b in range(h + 1):
+            rows[pc[r] + b].append(r)
+            runs[pc[r] + b].append(table[base + starts[b] : base + starts[b + 1]])
     mins, wits = [], []
+    cnt = 0
     for m in range(size + 1):
-        off_m = sizes.translate(bytes(0 if j == m else 0xFF for j in range(256)))
-        banded = (counts | int.from_bytes(off_m, "little")).to_bytes(1 << size, "little")
-        cnt = 0
-        while (fam := banded.find(cnt)) < 0:
+        group = b"".join(runs[m])
+        # the minimum never falls as m grows: dropping a set from a family
+        # of size m adds no chain, so the search resumes at the last minimum
+        while (hit := group.find(cnt)) < 0:
             cnt += 1
+        ends = list(accumulate(map(len, runs[m])))
+        i = bisect_right(ends, hit)
+        r = rows[m][i]
+        column = hit - (ends[i - 1] if i else 0)
         mins.append(cnt)
-        wits.append(fam)
+        wits.append(r << h | order[starts[m - pc[r]] + column])
     return tuple(mins), tuple(wits)
 
 

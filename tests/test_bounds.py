@@ -1,12 +1,12 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from supersat.core import LevelInterval, binom, build_b_family, level_words, middle_levels, sigma
 from supersat.counting import count_k_chains
-from supersat.scd import scd_bracketing, scd_inductive
+from supersat.scd import Permutation, permute_decomposition, scd_bracketing, scd_inductive
 from supersat.bounds import (
     added_row_level,
     binomial_identity_holds,
@@ -155,6 +155,24 @@ def test_closed_forms_match_enumeration_on_random_chains():
                 values.add(n_permutations_factorial(n, levels))
                 values.add(n_permutations_ratio(n, levels))
                 assert len(values) == 1, (n, chain, values)
+
+
+def test_enumeration_matches_the_per_bit_mapping_on_every_chain():
+    # reference: every relabeling maps every word through
+    # `Permutation.apply_to_word`; the permuted decomposition has another locator
+    for n in range(1, 6):
+        perms = [Permutation(tuple(i + 1 for i in image)) for image in permutations(range(n))]
+        images = [[p.apply_to_word(w) for w in range(1 << n)] for p in perms]
+        base = scd_inductive(n)
+        for dec in (base, permute_decomposition(base, perms[len(perms) // 2])):
+            chains = [(w,) for w in range(1 << n)]
+            while chains:
+                for chain in chains:
+                    want = sum(len({dec.locator[img[w]][0] for w in chain}) == 1 for img in images)
+                    assert n_permutations_enumerate(dec, chain) == want, (n, chain)
+                chains = [
+                    ch + (s,) for ch in chains for s in range(ch[-1] + 1, 1 << n) if s & ch[-1] == ch[-1]
+                ]
 
 
 def test_yz_products():

@@ -1,9 +1,10 @@
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from supersat import core
 from supersat.core import (
     _line_word,
     DuplicateSubset,
@@ -338,6 +339,82 @@ def test_parse_reads_shuffled_zero_padded_lines(case, rng):
         rng.shuffle(parts)
         lines.append(" ".join(p if p == "-" else "0" * rng.randint(0, 2) + p for p in parts))
     assert parse_family("\n".join(lines) + "\n") == fam
+
+
+# every line break `str.splitlines` knows; "\r\n" is one break
+SEPARATORS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _outcome(text):
+    try:
+        return parse_family(text)
+    except FamilyFormatError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_slices_split_like_the_whole_text(text, monkeypatch, slice_chars):
+    """The slices split into the lines of `text.splitlines()`, and the parse
+    gives the family, or the error text with its line number, that one slice
+    holding the whole text gives."""
+    monkeypatch.setattr(core, "_SLICE_CHARS", len(text) + 1)
+    assert list(core._text_slices(text)) == ([text] if text else [])
+    whole = _outcome(text)
+    monkeypatch.setattr(core, "_SLICE_CHARS", slice_chars)
+    slices = list(core._text_slices(text))
+    assert "".join(slices) == text
+    assert all(piece.endswith("\n") for piece in slices[:-1])
+    assert list(chain.from_iterable(map(str.splitlines, slices))) == text.splitlines()
+    assert _outcome(text) == whole
+    return slices, whole
+
+
+def test_sliced_parse_with_every_separator_around_every_cut(monkeypatch):
+    # with one-character slices every "\n" ends a slice, and each one here
+    # has every pair of separators (or none) just before and just after it
+    words = iter(range(1, 1 << 8))
+    pieces = ["n=8\n"]
+    for before in ["", *SEPARATORS]:
+        for after in ["", *SEPARATORS]:
+            pieces.append(format_word(next(words)) + before + "\n" + after)
+    text = "".join(pieces)
+    for slice_chars in (1, 2, 3, 5, 8, 13):
+        slices, whole = _assert_slices_split_like_the_whole_text(text, monkeypatch, slice_chars)
+        assert isinstance(whole, Family) and whole.size() == len(pieces) - 1
+        if slice_chars == 1:
+            assert all(piece.count("\n") <= 1 for piece in slices)
+    # the same text with an error on its last line: same error, same line number
+    for bad, error in (("1 1", MalformedLine), ("9", ElementOutOfRange), ("8 7 6", DuplicateSubset)):
+        broken = text + "6 7 8\x85\r\n" + bad + "\n"
+        for slice_chars in (1, 4, 7):
+            _, whole = _assert_slices_split_like_the_whole_text(broken, monkeypatch, slice_chars)
+            kind, message = whole
+            assert kind is error and message.startswith(f"line {len(broken.splitlines())}: ")
+
+
+def test_sliced_parse_matches_the_whole_text_on_random_texts(monkeypatch):
+    rng = random.Random(2026)
+    # a space twice, so that tokens often stand apart
+    tokens = ["1", "2", "3", "4", "01", "9", "-", "x", "#", " ", " ", "n=4", *SEPARATORS]
+    outcomes = set()
+    for _ in range(3000):
+        body = "".join(rng.choice(tokens) for _ in range(rng.randint(0, 30)))
+        text = rng.choice(["n=4\n", "n=4\r\n", "#\u2028n=4\x85", ""]) + body
+        _, whole = _assert_slices_split_like_the_whole_text(text, monkeypatch, rng.randint(1, 12))
+        outcomes.add(whole[0] if isinstance(whole, tuple) else Family)
+    assert outcomes == {Family, MissingHeader, MalformedLine, ElementOutOfRange, DuplicateSubset}
+
+
+def test_sliced_parse_of_a_file_longer_than_one_slice():
+    fam = build_b_family(14, 3)
+    text = serialize_family(fam)
+    lines = text.splitlines()
+    # the same lines ended by every separator in turn, and with CRLF
+    mixed = "".join(line + SEPARATORS[i % len(SEPARATORS)] for i, line in enumerate(lines))
+    for variant in (text, text.replace("\n", "\r\n"), mixed):
+        slices = list(core._text_slices(variant))
+        assert len(slices) > 2 and all(len(piece) >= core._SLICE_CHARS for piece in slices[:-1])
+        assert list(chain.from_iterable(map(str.splitlines, slices))) == lines
+        assert parse_family(variant) == fam
 
 
 def test_serialize_round_trip_on_built_family():

@@ -84,7 +84,7 @@ def test_exact_sweep_matches_naive_enumeration():
 
 
 def test_exact_table_minima_match_a_loop_over_every_family():
-    # the banded bytes.find scan against a plain pass over the same counts,
+    # the popcount-regrouped bytes.find scan against a plain pass over the same counts,
     # keeping the first family of each size that attains the minimum
     for n in range(5):
         size = 1 << n
