@@ -10,7 +10,7 @@ membership int.
 from __future__ import annotations
 
 import math
-from itertools import chain, compress
+from itertools import compress, count, islice, repeat, takewhile
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 # The chain-count kernel holds a few packed ints of 2^n fields, each
@@ -309,31 +309,52 @@ def _word_formatter(n: int) -> Callable[[int], str]:
     return name
 
 
+def _line_heads(n: int) -> tuple[int, list[str], list[str], list[str]]:
+    """(h, first, heads, hi): the family file line of word w = (j << h) | i
+    is first[i] when j = 0 and heads[i] + hi[j] when j >= 1.
+
+    That is lo[i], a space and hi[j] (see `_name_tables`), each part only
+    when its half is nonzero, and `-` for the empty set: first[i] is lo[i]
+    and heads[i] is lo[i] + " ", with first[0] = "-" and heads[0] = ""."""
+    h, lo, hi = _name_tables(n)
+    first = ["-", *lo[1:]]
+    heads = ["", *(name + " " for name in lo[1:])]
+    return h, first, heads, hi
+
+
+def _head_tables(n: int) -> tuple[int, list[str], tuple[dict[str, int], dict[str, int]]]:
+    """(h, hi, tables): tables[j > 0] maps the line of word w = (j << h) | i
+    with the suffix hi[j] removed to i, the inverse of `_line_heads` on
+    block j.
+
+    Word j << h with j >= 1 has no key: its line less hi[j] is "", which a
+    blank line would hit too.  Every key of tables[1] ends with a space, so
+    a line that does not end in hi[j] and has no trailing whitespace is
+    never a key of it."""
+    h, first, heads, hi = _line_heads(n)
+    return h, hi, (dict(zip(first, count())), dict(zip(heads[1:], count(1))))
+
+
 def serialize_family(family: Family) -> str:
     """The family file text: the header, then one line per member in
     ascending word order.
 
     The words w = (j << h) | i with one high half j form a block of 2^h
-    words; a member's line is lo[i], a space if both halves are nonempty,
-    hi[j] and a newline (see `_name_tables`).  So for j >= 1 one block is
-    one C-level join of the low names, with a trailing space, picked by the
-    block's mask bytes and separated by hi[j] + newline.  Block 0 prints
-    lo[i] alone, and `-` for word 0.  The text equals the per-word
-    `format_word` lines byte for byte.
+    words, and a member's line is built from `_line_heads`.  So for j >= 1
+    one block is one C-level join of the heads picked by the block's mask
+    bytes, separated by hi[j] + newline; block 0 is one join of first[i] +
+    newline.  The text equals the per-word `format_word` lines byte for
+    byte.
     """
     n, mask = family.n, family.mask
-    h, lo, hi = _name_tables(n)
-    size = 1 << h
-    lines = [name + "\n" for name in lo]
-    lines[0] = "-\n"
-    out = [f"n={n}\n", "".join(compress(lines, mask[:size]))]
-    lo_sp = [name + " " for name in lo]
-    lo_sp[0] = ""
+    h, first, heads, hi = _line_heads(n)
+    lines = [name + "\n" for name in first]
+    out = [f"n={n}\n", "".join(compress(lines, mask[: 1 << h]))]
     for j in range(1, len(hi)):
         block = mask[j << h : (j + 1) << h]
         if 1 in block:  # the join of no names would still emit one sep
             sep = hi[j] + "\n"
-            out.append(sep.join(compress(lo_sp, block)) + sep)
+            out.append(sep.join(compress(heads, block)) + sep)
     return "".join(out)
 
 
@@ -367,19 +388,93 @@ def parse_family(text: str) -> Family:
     as space-separated decimal elements of [1, n] (any order) or `-` for
     the empty set.  `#` starts a comment.  Duplicate subsets are rejected.
 
-    Each token is looked up in a table of the n strings "1".."n"; a line
-    with any other token or a repeated element goes through `_line_word`,
-    which reads leading zeros and raises every format error.  The lines are
-    split one slice of the text at a time (`_text_slices`), so the lines of
-    only one slice are alive at once.
+    The text is split into lines one slice at a time (`_text_slices`), so
+    the lines of only one slice are alive at once.  A line is read one of
+    two ways:
+
+    - Per line.  Each token is looked up in a table of the n strings
+      "1".."n"; a line with any other token or a repeated element goes
+      through `_line_word`, which reads leading zeros and raises every
+      format error.  Only this path reads comments and tokens out of order
+      or zero-padded, and only this path raises.
+    - Whole-line lookup.  After a line read per line whose word has high
+      half j, the following lines of the slice, trailing whitespace
+      stripped and the suffix hi[j] removed, are looked up in the table of
+      block j from `_head_tables`, at C level up to the first miss.  A hit
+      is a line that `serialize_family` writes for a word of block j, which
+      the per-line path reads as that word.  The run of hits is taken when
+      its words are distinct and not yet members, as the per-line path
+      would take them; otherwise its lines are read per line, which raises
+      at the first duplicate.
+
+    A file in `serialize_family`'s order is so read one block at a time:
+    one line per line, then the rest of the block by lookup.  Where the
+    next line is no hit, m times in a row, the next m lines are read per
+    line without a lookup, so a file whose neighbouring lines seldom share
+    a high half costs little more than a per-line read.
     """
-    numbered = enumerate(chain.from_iterable(map(str.splitlines, _text_slices(text))), start=1)
-    for lineno, raw in numbered:
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            break
-    else:
+    mask = None
+    start = 0  # the lines of the slices before this one
+    for lines in map(str.splitlines, _text_slices(text)):
+        end = len(lines)
+        numbered = enumerate(lines, start=1)  # (index of the next line, line)
+        if mask is None:
+            for pos, raw in numbered:
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    n = _header_size(line, start + pos)
+                    bit_of = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__
+                    h, hi, tables = _head_tables(n)
+                    mask = bytearray(1 << n)
+                    break
+        plain = misses = 0  # the lines before index `plain` are read per line only
+        for pos, raw in numbered:
+            if "#" in raw:
+                raw = raw.split("#", 1)[0]
+            parts = raw.split()
+            if not parts:
+                continue
+            try:
+                word = sum(map(bit_of, parts))
+            except KeyError:
+                word = _line_word(parts, start + pos, n)
+            else:
+                # distinct bits add without carries, so a repeat loses a bit
+                if word.bit_count() != len(parts):
+                    word = _line_word(parts, start + pos, n)
+            if mask[word]:
+                raise DuplicateSubset(f"line {start + pos}: duplicate subset {format_word(word)!r}")
+            mask[word] = 1
+            if pos <= plain or pos == end:
+                continue
+            j = word >> h
+            table = tables[j > 0]
+            if lines[pos].removesuffix(hi[j]) not in table:
+                misses += 1
+                plain = pos + misses
+                continue
+            misses = 0
+            lookup = map(str.removesuffix, map(str.rstrip, map(lines.__getitem__, range(pos, end))), repeat(hi[j]))
+            run = list(takewhile((-1).__lt__, map(table.get, lookup, repeat(-1))))
+            del lookup  # it holds `lines`
+            block = mask[j << h : (j + 1) << h]
+            had = block.count(1)
+            for i in run:
+                block[i] = 1
+            if run and block.count(1) == had + len(run):  # distinct new members
+                mask[j << h : (j + 1) << h] = block
+                next(islice(numbered, len(run) - 1, None))  # skip the run's lines
+            else:
+                plain = pos + len(run)
+        start += end
+        del lines, numbered  # before the next slice is split
+    if mask is None:
         raise MissingHeader("missing `n=<int>` header")
+    return Family(n, bytes(mask))
+
+
+def _header_size(line: str, lineno: int) -> int:
+    """The ground-set size of the header line `n=<decimal>`, comment stripped."""
     if not line.startswith("n="):
         raise MissingHeader(f"line {lineno}: expected `n=<int>` header, got {line!r}")
     try:
@@ -390,26 +485,7 @@ def parse_family(text: str) -> Family:
         check_ground_set(n)
     except ValueError as exc:
         raise MalformedLine(f"line {lineno}: {exc}") from None
-    bit_of = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__
-    mask = bytearray(1 << n)
-    for lineno, raw in numbered:
-        if "#" in raw:
-            raw = raw.split("#", 1)[0]
-        parts = raw.split()
-        if not parts:
-            continue
-        try:
-            word = sum(map(bit_of, parts))
-        except KeyError:
-            word = _line_word(parts, lineno, n)
-        else:
-            # distinct bits add without carries, so a repeat loses a bit
-            if word.bit_count() != len(parts):
-                word = _line_word(parts, lineno, n)
-        if mask[word]:
-            raise DuplicateSubset(f"line {lineno}: duplicate subset {format_word(word)!r}")
-        mask[word] = 1
-    return Family(n, bytes(mask))
+    return n
 
 
 def _line_word(parts: list[str], lineno: int, n: int) -> int:

@@ -417,6 +417,144 @@ def test_sliced_parse_of_a_file_longer_than_one_slice():
         assert parse_family(variant) == fam
 
 
+def test_head_tables_invert_the_serialized_lines():
+    # exhaustive for n <= 10: every word w against the table of every block j
+    for n in range(1, 11):
+        h, hi, tables = core._head_tables(n)
+        low = (1 << h) - 1
+        assert len(hi) == 1 << (n - h)
+        # each key, hi[j] appended, is the line of its word, and nothing else is a key
+        for j in range(len(hi)):
+            words = {(j << h) | i for i in tables[j > 0].values()}
+            assert words == set(range(j << h, (j + 1) << h)) - ({j << h} if j else set())
+            for key, i in tables[j > 0].items():
+                assert key + hi[j] == format_word((j << h) | i)
+        # so a line less a suffix it lacks is a key only if it ends in a space
+        assert all(key.endswith(" ") for key in tables[1])
+        for w in range(1 << n):
+            name = format_word(w)
+            for j in range(len(hi)):
+                i = tables[j > 0].get(name.removesuffix(hi[j]))
+                if j == w >> h and (j == 0 or w & low):
+                    assert i == w & low, (n, w, j)
+                else:
+                    assert i is None, (n, w, j)
+
+
+def _reference_parse(text):
+    """The family file read one line at a time, independently of the
+    whole-line lookup: comments stripped, tokens split and read by
+    `_line_word`, duplicates checked."""
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            break
+    else:
+        raise MissingHeader("missing `n=<int>` header")
+    n = core._header_size(line, lineno)
+    mask = bytearray(1 << n)
+    for lineno, raw in enumerate(lines[lineno:], start=lineno + 1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            word = _line_word(parts, lineno, n)
+            if mask[word]:
+                raise DuplicateSubset(f"line {lineno}: duplicate subset {format_word(word)!r}")
+            mask[word] = 1
+    return Family(n, bytes(mask))
+
+
+def _reference_outcome(text):
+    try:
+        return _reference_parse(text)
+    except FamilyFormatError as exc:
+        return type(exc), str(exc)
+
+
+# whitespace that `str.split` and `str.rstrip` treat as a space, and that
+# holds no line break
+SPACES = [" ", "\t", "\xa0", "\u3000"]
+JUNK = ["x", "+1", "1_0", "\u0663", "1.0", "--", "n=3"]
+
+
+def _perturb(rng, n, body):
+    """Edit the body lines of a serialized family in place."""
+    for _ in range(rng.choice([0, 1, 1, 2, 3, 6])):
+        op = rng.randrange(15)
+        at = rng.randrange(len(body) + 1)
+        line = body[min(at, len(body) - 1)] if body else "-"
+        if op == 0:  # a duplicate, often next to the line it repeats
+            body.insert(rng.choice([at, at + 1, rng.randrange(len(body) + 1)]), line)
+        elif op == 1 and body:  # two lines swapped, often adjacent ones
+            a, b = at % len(body), rng.choice([at + 1, rng.randrange(len(body))]) % len(body)
+            body[a], body[b] = body[b], body[a]
+        elif op == 2:  # a range of lines reversed, or the whole body
+            stop = at + rng.choice([rng.randint(2, 40), len(body)])
+            body[at:stop] = body[at:stop][::-1]
+        elif op == 3:
+            body.insert(at, rng.choice(["#", "# note", "  # 1 2", "1 # 2"]))
+        elif op == 4 and body:
+            body[at % len(body)] = line + rng.choice(["#", " # x", "\t#-"])
+        elif op == 5:
+            body.insert(at, "".join(rng.choices(SPACES, k=rng.randint(0, 2))))
+        elif op == 6:
+            body.insert(at, rng.choice(["-", " - ", "-\t"]))
+        elif op in (7, 8) and body:  # tokens shuffled or zero-padded
+            parts = line.split()
+            rng.shuffle(parts)
+            if op == 8:
+                parts = [p if p == "-" else "0" * rng.randint(0, 2) + p for p in parts]
+            body[at % len(body)] = " ".join(parts)
+        elif op == 9 and body:  # whitespace after or before a line
+            pad = "".join(rng.choices(SPACES, k=rng.randint(1, 2)))
+            body[at % len(body)] = line + pad if rng.random() < 0.7 else pad + line
+        elif op == 10 and body:  # an element out of range
+            body[at % len(body)] = line + " " + str(rng.choice([0, n + 1, n + rng.randint(2, 30)]))
+        elif op == 11 and body:  # a junk token
+            parts = line.split()
+            parts.insert(rng.randrange(len(parts) + 1), rng.choice(JUNK))
+            body[at % len(body)] = " ".join(parts)
+        elif op == 12 and body:  # a repeated element
+            body[at % len(body)] = line + " " + (line.split() or ["1"])[0]
+        elif op == 13:  # a run of one block's lines, from another block
+            body[at:at] = body[rng.randrange(len(body) + 1) :][: rng.randint(1, 30)]
+        elif op == 14 and n > 1:
+            # a line of high half 0 and a trailing space: less any hi[j] it is
+            # still a key of the tables of the blocks j >= 1
+            body.insert(at, format_word(rng.randrange(1, 1 << (n // 2))) + " ")
+
+
+def test_whole_line_lookup_matches_a_per_line_parse(monkeypatch):
+    rng = random.Random(1515)
+    outcomes = set()
+    for case in range(3000):
+        n = rng.choice([9, 10]) if case % 100 == 0 else rng.randint(1, 8)
+        # families of density 1/4, 1/2 and 3/4, and every fifth case the built middle rows
+        bits = rng.getrandbits(1 << n)
+        if case % 3 == 1:
+            bits &= rng.getrandbits(1 << n)
+        elif case % 3 == 2:
+            bits |= rng.getrandbits(1 << n)
+        fam = build_b_family(n, rng.randint(1, n + 1)) if case % 5 == 0 else Family.from_bits(n, bits)
+        header, *body = serialize_family(fam).splitlines()
+        _perturb(rng, n, body)
+        if case % 50 == 1:
+            header = rng.choice(["n=0", "n=21", "n=x", "1 2"])
+        elif case % 50 == 2:
+            header = rng.choice(["# c", "", "# n=2"]) + "\n" + header
+        lines = "\n".join([header, *body]).split("\n")
+        want = _reference_outcome("\n".join(lines) + "\n")
+        outcomes.add(want[0] if isinstance(want, tuple) else Family)
+        for sep in SEPARATORS:
+            text = sep.join(lines) + sep
+            assert text.splitlines() == lines
+            # with "\n" between the lines, slices of 1..40 characters cut the runs
+            for chars in (1 << 16, 1 + case % 40) if sep == "\n" else (1 << 16,):
+                monkeypatch.setattr(core, "_SLICE_CHARS", chars)
+                assert _outcome(text) == want, (case, sep, chars)
+    assert outcomes == {Family, MissingHeader, MalformedLine, ElementOutOfRange, DuplicateSubset}
+
+
 def test_serialize_round_trip_on_built_family():
     fam = build_b_family(4, 2)
     assert parse_family(serialize_family(fam)) == fam
