@@ -6,8 +6,8 @@ extremal family construction that attains the bound."""
 from __future__ import annotations
 
 import math
-from itertools import combinations, permutations
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
+from itertools import combinations, islice, permutations
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from supersat.core import (
     Family,
@@ -280,20 +280,33 @@ def build_extremal_family(
     and the added row is the k-th, so the filled levels lie in one block of
     k middle rows.  `selector` picks the x sets on the added row (default:
     colexicographically smallest); any choice yields the same chain count.
+
+    The selected words are checked one by one as they go into the row mask,
+    and counted; none is kept.  The added row lies outside the block rows,
+    so a repeated word shows up as a family of fewer than sigma(n, k-1) + x
+    sets.  A bad word raises as it arrives, before the count is known.
     """
     _check_nk(n, k)
     limit = tight_x_max(n, k)
     if not 0 <= x <= limit:
         raise ValueError(f"x must be in [0, {limit}] for a tight construction, got {x}")
     row = added_row_level(n, k)
-    chosen = list(selector(n, row, x)) if selector is not None else colex_smallest(n, row, x)
-    if len(chosen) != x or len(set(chosen)) != x:
+    words = selector(n, row, x) if selector is not None else islice(level_words(n, row), x)
+    taken = 0  # words checked so far
+
+    def checked() -> Iterator[int]:
+        nonlocal taken
+        for w in words:
+            check_word(w, n)
+            if level(w) != row:
+                raise ValueError(f"selector returned a set of size {level(w)}, expected {row}")
+            taken += 1
+            yield w
+
+    family = _rows_family(n, middle_rows(n, k - 1), checked())
+    if taken != x or family.size() != sigma(n, k - 1) + x:
         raise ValueError(f"selector must yield {x} distinct sets")
-    for w in chosen:
-        check_word(w, n)
-        if level(w) != row:
-            raise ValueError(f"selector returned a set of size {level(w)}, expected {row}")
-    return _rows_family(n, middle_rows(n, k - 1), chosen)
+    return family
 
 
 class BoundReport(NamedTuple):

@@ -56,7 +56,8 @@ def _emit(payload: dict) -> None:
 def _read_family(path: str) -> Family:
     from supersat.core import FamilyFormatError, parse_family
 
-    with open(path, "r", encoding="utf-8") as handle:
+    # utf-8-sig drops a leading byte-order mark; one anywhere else stays a format error
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:
@@ -89,16 +90,17 @@ def _cmd_count(args) -> int:
 
 def _cmd_construct(args) -> int:
     from supersat.bounds import build_extremal_family
-    from supersat.core import serialize_family
+    from supersat.core import family_text_blocks
 
     family = build_extremal_family(args.n, args.k, args.x)
-    text = serialize_family(family)
+    # one block of text at a time, never the whole file
+    blocks = family_text_blocks(family)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(blocks)
         _emit({"n": args.n, "k": args.k, "x": args.x, "size": family.size(), "out": args.out})
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     return EXIT_OK
 
 
@@ -324,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a module property suite")
     p.add_argument("--suite", choices=SUITE_CHOICES, required=True)
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--seed", type=int, default=2024,
+                   help="seed of the counting and theorem suites; "
+                   "the scd suite draws nothing at random")
     p.set_defaults(func=_cmd_verify)
 
     return parser

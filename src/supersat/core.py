@@ -266,7 +266,9 @@ def _rows_family(n: int, rows: LevelInterval, words: Iterable[int] = ()) -> Fami
     mask = bytearray(_popcounts(n).translate(band))
     for w in words:
         mask[w] = 1
-    return Family(n, bytes(mask))
+    # drop the bytearray before `Family`'s check copies the mask once more
+    mask = bytes(mask)
+    return Family(n, mask)
 
 
 def build_b_family(n: int, k: int, variant: str = "floor") -> Family:
@@ -335,27 +337,32 @@ def _head_tables(n: int) -> tuple[int, list[str], tuple[dict[str, int], dict[str
     return h, hi, (dict(zip(first, count())), dict(zip(heads[1:], count(1))))
 
 
-def serialize_family(family: Family) -> str:
-    """The family file text: the header, then one line per member in
-    ascending word order.
+def family_text_blocks(family: Family) -> Iterator[str]:
+    """The family file text in pieces: the header, block 0, then each
+    nonempty block j >= 1, so a writer holds one block of text at a time.
 
     The words w = (j << h) | i with one high half j form a block of 2^h
     words, and a member's line is built from `_line_heads`.  So for j >= 1
     one block is one C-level join of the heads picked by the block's mask
     bytes, separated by hi[j] + newline; block 0 is one join of first[i] +
-    newline.  The text equals the per-word `format_word` lines byte for
-    byte.
+    newline.  The pieces join into the per-word `format_word` lines byte
+    for byte.
     """
     n, mask = family.n, family.mask
     h, first, heads, hi = _line_heads(n)
-    lines = [name + "\n" for name in first]
-    out = [f"n={n}\n", "".join(compress(lines, mask[: 1 << h]))]
+    yield f"n={n}\n"
+    yield "".join(compress([name + "\n" for name in first], mask[: 1 << h]))
     for j in range(1, len(hi)):
         block = mask[j << h : (j + 1) << h]
         if 1 in block:  # the join of no names would still emit one sep
             sep = hi[j] + "\n"
-            out.append(sep.join(compress(heads, block)) + sep)
-    return "".join(out)
+            yield sep.join(compress(heads, block)) + sep
+
+
+def serialize_family(family: Family) -> str:
+    """The family file text: the header, then one line per member in
+    ascending word order; the join of `family_text_blocks`."""
+    return "".join(family_text_blocks(family))
 
 
 def _decimal(token: str) -> int:

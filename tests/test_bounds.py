@@ -323,6 +323,47 @@ def test_extremal_family_selector_validation():
         build_extremal_family(4, 2, 1, selector=lambda n, lvl, c: [0b0011])
 
 
+# n = 4, k = 2: the block is row 2 and the added row is row 3
+@pytest.mark.parametrize(
+    "x, words, message",
+    [
+        (2, [0b0111, 0b0111], "selector must yield 2 distinct sets"),
+        (2, [0b0111], "selector must yield 2 distinct sets"),
+        (1, [0b0111, 0b1011], "selector must yield 1 distinct sets"),
+        (1, [0b0111, 0b0111], "selector must yield 1 distinct sets"),
+        (0, [0b0111], "selector must yield 0 distinct sets"),
+        (1, [0b0011], "selector returned a set of size 2, expected 3"),
+        (1, [0b10011], "subset word 19 has bits outside [1, 4]"),
+        (1, [-3], "subset word -3 has bits outside [1, 4]"),
+    ],
+)
+def test_extremal_family_rejects_each_bad_selection(x, words, message):
+    for wrap in (list, iter):
+        with pytest.raises(ValueError) as info:
+            build_extremal_family(4, 2, x, selector=lambda n, lvl, c: wrap(words))
+        assert str(info.value) == message
+
+
+def test_extremal_family_checks_each_word_as_it_arrives():
+    def selector(n, lvl, count):
+        yield 0b0111
+        yield 0b0011  # on the wrong row, and one word too many for x = 1
+        raise AssertionError("drawn past a bad word")
+
+    # of the two faults, the bad word is reported, before the count is known
+    with pytest.raises(ValueError, match="set of size 2, expected 3"):
+        build_extremal_family(4, 2, 1, selector=selector)
+
+
+def test_extremal_family_default_selection_is_the_colex_prefix():
+    for n in range(1, 11):
+        for k in range(2, min(6, n + 2)):
+            t = tight_x_max(n, k)
+            for x in sorted({0, 1, t // 2, t}):
+                want = build_extremal_family(n, k, x, selector=colex_smallest)
+                assert build_extremal_family(n, k, x) == want, (n, k, x)
+
+
 def test_colex_selector_is_sorted_prefix():
     words = colex_smallest(5, 2, 4)
     assert words == sorted(words)

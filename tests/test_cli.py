@@ -7,7 +7,7 @@ import pytest
 from supersat.cli import main
 from supersat.core import binom, parse_family, serialize_family, build_b_family
 from supersat.counting import count_k_chains
-from supersat.bounds import supersat_bound
+from supersat.bounds import build_extremal_family, supersat_bound
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +61,39 @@ def test_construct_to_file(tmp_path, capsys):
     assert family.size() == 7
 
 
+@pytest.mark.parametrize("n, k, x", [(1, 2, 0), (4, 2, 1), (9, 3, 0), (12, 4, 300), (16, 5, 4004)])
+def test_construct_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys, n, k, x):
+    argv = ["construct", "--n", str(n), "--k", str(k), "--x", str(x)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    path = tmp_path / "fam.txt"
+    assert run_json(capsys, *argv, "--out", str(path))["out"] == str(path)
+    assert path.read_bytes() == out.encode("utf-8")
+    assert out == serialize_family(build_extremal_family(n, k, x))
+
+
+def test_construct_holds_one_block_of_text_at_a_time(tmp_path, capsys):
+    import tracemalloc
+
+    # imported first, so that the trace sees only the command's own work
+    import json  # noqa: F401
+
+    import supersat.bounds  # noqa: F401
+
+    path = tmp_path / "fam.txt"
+    argv = ["construct", "--n", "16", "--k", "5", "--x", "4004", "--out", str(path)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    # the whole text at once, as one string and its encoding, would be twice the file
+    assert peak < path.stat().st_size / 4, (peak, path.stat().st_size)
+
+
 def test_construct_rejects_oversized_x(capsys):
     code, out, err = run_cli(capsys, "construct", "--n", "4", "--k", "2", "--x", "5")
     assert code == 3
@@ -88,6 +121,33 @@ def test_count_non_utf8_family_is_format_error(tmp_path, capsys):
     assert code == 5
     assert out == ""
     assert "not UTF-8" in err
+
+
+def test_count_accepts_a_leading_byte_order_mark(tmp_path, capsys):
+    text = serialize_family(build_extremal_family(6, 3, 4))
+    plain, marked = tmp_path / "plain.fam", tmp_path / "bom.fam"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want = run_json(capsys, "count", "--k", "3", "--family", str(plain))
+    assert run_json(capsys, "count", "--k", "3", "--family", str(marked)) == want
+    assert want == {"count": supersat_bound(6, 3, 4)}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\ufeff\ufeffn=3\n1 2\n", "expected `n=<int>` header, got '\\ufeffn=3'"),
+        ("# a comment\n\ufeffn=3\n1 2\n", "line 2: expected `n=<int>` header"),
+        ("n=3\n\ufeff1 2\n", "line 2: '\\ufeff1' is not an element"),
+        ("n=3\n1 2\n1\ufeff\n", "line 3: '1\\ufeff' is not an element"),
+    ],
+)
+def test_count_rejects_a_byte_order_mark_past_the_start(tmp_path, capsys, text, message):
+    path = tmp_path / "bom.fam"
+    path.write_bytes(text.encode("utf-8"))
+    code, out, err = run_cli(capsys, "count", "--k", "2", "--family", str(path))
+    assert (code, out) == (5, "")
+    assert message in err
 
 
 def test_count_non_decimal_element_is_format_error(tmp_path, capsys):
@@ -355,7 +415,9 @@ def test_verify_scd_compares_against_the_bracket_rule(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "scd")
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert code == 1
-    assert checks["bracketing_valid_through_n8"]["ok"]
+    # scd_bracketing is scd_inductive, so only the inductive SCD is validated
+    assert "bracketing_valid_through_n8" not in checks
+    assert checks["inductive_valid_through_n8"]["ok"]
     assert not checks["constructions_comparison"]["ok"]
     assert checks["constructions_comparison"]["detail"].startswith("n=2, word ")
 

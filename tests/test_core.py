@@ -17,6 +17,7 @@ from supersat.core import (
     build_b_family,
     check_ground_set,
     elements_of_word,
+    family_text_blocks,
     format_word,
     level_words,
     middle_levels,
@@ -579,6 +580,30 @@ def test_serialize_matches_the_per_word_reference():
         for fam in families:
             want = f"n={n}\n" + "".join(format_word(w) + "\n" for w in fam.words())
             assert serialize_family(fam) == want, n
+
+
+def test_family_text_blocks_join_into_the_per_word_lines():
+    from supersat.bounds import build_extremal_family, tight_x_max
+
+    for n in range(1, 13):
+        h = n // 2
+        top = (1 << n) - 1
+        families = [
+            build_extremal_family(n, k, x)
+            for k in range(2, min(6, n + 2))
+            for x in sorted({0, 1, tight_x_max(n, k)})
+        ]
+        # only the first and the last block hold members, every block between is empty
+        families += [Family.from_words(n, [0, top]), Family.empty(n)]
+        for fam in families:
+            pieces = list(family_text_blocks(fam))
+            want = f"n={n}\n" + "".join(format_word(w) + "\n" for w in fam.words())
+            assert "".join(pieces) == want == serialize_family(fam), n
+            # the header, block 0, then one piece per nonempty block j >= 1
+            nonempty = {w >> h for w in fam.words()} - {0}
+            assert pieces[0] == f"n={n}\n"
+            assert len(pieces) == 2 + len(nonempty), n
+            assert all(piece.endswith("\n") for piece in pieces[2:])
 
 
 def test_word_element_round_trip():
