@@ -125,7 +125,7 @@ def n_permutations_enumerate(dec: Decomposition, chain: Sequence[int]) -> int:
     """Brute-force permutation count over all n! relabelings; n <= 7.
 
     Relabeling the chain instead of the decomposition visits the same
-    permutation count, so a single locator serves all n! checks.  A
+    permutation count, so one word -> first-chain table serves all n! checks.  A
     relabeling is the tuple of the n element bits' images, and each chain
     set's image is the image of the set below it plus the images of the
     elements it adds, so one relabeling costs one OR per element of the top
@@ -143,7 +143,9 @@ def n_permutations_enumerate(dec: Decomposition, chain: Sequence[int]) -> int:
         if a == b or (a & b) != a:
             raise ValueError("input sets must strictly increase under inclusion")
     added = [[i for i in range(n) if (w ^ below) >> i & 1] for below, w in zip((0,) + chain, chain)]
-    locator = dec.locator
+    from supersat.scd import _first_chains
+
+    first = _first_chains(dec)
     count = 0
     for image in permutations([1 << i for i in range(n)]):
         out = 0
@@ -151,7 +153,7 @@ def n_permutations_enumerate(dec: Decomposition, chain: Sequence[int]) -> int:
         for elements in added:
             for i in elements:
                 out |= image[i]
-            idx, _ = locator[out]
+            idx = first[out]
             if target is None:
                 target = idx
             elif idx != target:

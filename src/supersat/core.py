@@ -283,45 +283,29 @@ def format_word(word: int) -> str:
     return " ".join(str(e) for e in elements_of_word(word))
 
 
-def _name_tables(n: int) -> tuple[int, list[str], list[str]]:
-    """(h, lo, hi) with h = n // 2: lo[i] names the subset of elements
-    1..h with word i and hi[j] the subset of elements h+1..n with word j,
-    each as its ascending, space-separated elements ("" for word 0).  A word
-    w is lo[w & (2^h - 1)] followed by hi[w >> h]."""
-    h = n // 2
-    tables = []
-    for first, last in ((1, h), (h + 1, n)):
-        names = [""]
-        for e in range(first, last + 1):
-            # the words with this bit set are the earlier ones plus e, the largest element yet
-            names += [f"{name} {e}" if name else str(e) for name in names]
-        tables.append(names)
-    return h, tables[0], tables[1]
-
-
 def _word_formatter(n: int) -> Callable[[int], str]:
-    """`format_word` for the words of [n], by two lookups in `_name_tables`."""
-    h, lo, hi = _name_tables(n)
+    """`format_word` for the words of [n], by lookups in `_line_heads`."""
+    h, first, heads, hi = _line_heads(n)
     low = (1 << h) - 1
-
-    def name(word: int) -> str:
-        a, b = lo[word & low], hi[word >> h]
-        return f"{a} {b}" if a and b else a or b or "-"
-
-    return name
+    return lambda word: heads[word & low] + hi[word >> h] if word >> h else first[word]
 
 
 def _line_heads(n: int) -> tuple[int, list[str], list[str], list[str]]:
-    """(h, first, heads, hi): the family file line of word w = (j << h) | i
-    is first[i] when j = 0 and heads[i] + hi[j] when j >= 1.
+    """(h, first, heads, hi) with h = n // 2: the family file line of word
+    w = (j << h) | i is first[i] when j = 0 and heads[i] + hi[j] when j >= 1.
 
-    That is lo[i], a space and hi[j] (see `_name_tables`), each part only
-    when its half is nonzero, and `-` for the empty set: first[i] is lo[i]
-    and heads[i] is lo[i] + " ", with first[0] = "-" and heads[0] = ""."""
-    h, lo, hi = _name_tables(n)
-    first = ["-", *lo[1:]]
-    heads = ["", *(name + " " for name in lo[1:])]
-    return h, first, heads, hi
+    Name a subset by its ascending, space-separated elements.  hi[j] names
+    the subset of elements h+1..n with word j ("" for j = 0); heads[i] is
+    the name of the subset of elements 1..h with word i followed by a
+    space ("" for i = 0), and first[i] is that name without the space
+    ("-" for i = 0, the empty set)."""
+    h = n // 2
+    heads, hi = [""], [""]
+    for names, elements in ((heads, range(1, h + 1)), (hi, range(h + 1, n + 1))):
+        for e in elements:
+            # the words with this bit set are the earlier ones plus e, the largest element yet
+            names += [f"{name}{e} " for name in names]
+    return h, ["-", *(name[:-1] for name in heads[1:])], heads, [name[:-1] for name in hi]
 
 
 def _head_tables(n: int) -> tuple[int, list[str], tuple[dict[str, int], dict[str, int]]]:

@@ -5,7 +5,8 @@ decompositions."""
 
 from __future__ import annotations
 
-from functools import cached_property
+from itertools import compress, count, repeat
+from operator import contains
 from typing import Iterable, NamedTuple, Sequence
 
 from supersat.core import _Value, binom, check_ground_set, check_word, level
@@ -61,13 +62,13 @@ class Permutation(_Value):
 
 
 class Decomposition(_Value):
-    """Chains covering the subset lattice, with a word -> (chain, position) locator.
+    """Chains covering the subset lattice: `n` and `chains`, nothing else.
 
-    `__init__` stores the chains as given; `from_chains` checks the words
-    and canonicalizes chain order.  Neither requires the chains to form a
-    valid SCD; `validate_scd` reports that, so deliberately broken
-    decompositions can be represented in tests.  The locator is built from
-    the chains on first use, so a plain dump of the chains never pays for it.
+    `__init__` checks `n` and stores the chains as given; `from_chains` also
+    checks the words and canonicalizes chain order.  Neither requires the
+    chains to form a valid SCD; `validate_scd` reports that, so deliberately
+    broken decompositions can be represented in tests.  A word is looked up
+    by reading the chains (`chain_through`).
     """
 
     _fields = ("n", "chains")
@@ -75,6 +76,7 @@ class Decomposition(_Value):
     chains: tuple[Chain, ...]
 
     def __init__(self, n: int, chains: tuple[Chain, ...]):
+        check_ground_set(n)
         self._set(n, chains)
 
     @classmethod
@@ -102,15 +104,6 @@ class Decomposition(_Value):
             canon.append(ch)
         canon.sort(key=_chain_order)
         return cls(n, tuple(canon))
-
-    @cached_property
-    def locator(self) -> dict[int, tuple[int, int]]:
-        """Word -> (chain index, position) of its first occurrence in `chains`."""
-        locator: dict[int, tuple[int, int]] = {}
-        for idx, ch in enumerate(self.chains):
-            for pos, w in enumerate(ch):
-                locator.setdefault(w, (idx, pos))
-        return locator
 
 
 def scd_inductive(n: int) -> Decomposition:
@@ -207,7 +200,9 @@ class ScdValidation(NamedTuple):
 
 def validate_scd(dec: Decomposition) -> ScdValidation:
     """Check partition of the lattice, skipless chains, symmetric chains,
-    the chain-count identity, and locator consistency."""
+    the chain-count identity, and that `chain_through` finds every word at
+    the place it sits on its chain.  Empty chains and words outside [n] are
+    reported as partition problems."""
     n = dec.n
     problems: list[str] = []
 
@@ -217,14 +212,20 @@ def validate_scd(dec: Decomposition) -> ScdValidation:
     duplicates = 0
     first_repeat: tuple[int, int] | None = None
     for idx, ch in enumerate(dec.chains):
+        if not ch:
+            problems.append(f"chain {idx} is empty")
         for pos, w in enumerate(ch):
+            if w >> n:  # also for w < 0, which shifts to -1
+                problems.append(f"chain {idx} holds {w}, which is not a subset of [{n}]")
+                continue
             if seen[w]:
                 duplicates += 1
                 if first_repeat is None:
                     first_repeat = (idx, pos)
             seen[w] = 1
     covered = (1 << n) - seen.count(0)
-    partition = duplicates == 0 and covered == 1 << n
+    # every problem so far is an empty chain or a word outside [n]
+    partition = not problems and duplicates == 0 and covered == 1 << n
     if duplicates:
         problems.append(f"{duplicates} subsets appear on more than one chain")
     if covered != 1 << n:
@@ -240,8 +241,9 @@ def validate_scd(dec: Decomposition) -> ScdValidation:
 
     symmetric = True
     for idx, ch in enumerate(dec.chains):
-        lo = min(level(w) for w in ch)
-        hi = max(level(w) for w in ch)
+        # an empty chain, reported above, spans [n, 0] here
+        lo = min(map(level, ch), default=n)
+        hi = max(map(level, ch), default=0)
         if lo + hi != n:
             symmetric = False
             problems.append(f"chain {idx} spans levels [{lo}, {hi}], not symmetric")
@@ -251,8 +253,8 @@ def validate_scd(dec: Decomposition) -> ScdValidation:
     if not chain_count:
         problems.append(f"{len(dec.chains)} chains, expected C(n, n//2) = {expected}")
 
-    # the locator keeps each word's first occurrence, so it disagrees with
-    # the chains exactly at the first repeated word; no need to build it
+    # `chain_through` finds each word's first occurrence, so it disagrees
+    # with the chains exactly at the first repeated word
     locator = first_repeat is None
     if first_repeat is not None:
         idx, pos = first_repeat
@@ -266,7 +268,7 @@ def permute_decomposition(dec: Decomposition, perm: Permutation) -> Decompositio
 
     A word w maps to lo[w & (2^h - 1)] | hi[w >> h] with h = ceil(n / 2):
     lo holds the images of the 2^h words of elements 1..h and hi those of
-    elements h+1..n, each table grown by doubling as in `core._name_tables`.
+    elements h+1..n, each table grown by doubling as in `core._line_heads`.
     Two half tables take 2^h + 2^(n-h) ints where one of all 2^n words
     would raise the peak memory at n = 20.  `Permutation.apply_to_word`
     is the per-word reference the tests compare against.
@@ -291,6 +293,21 @@ def permute_decomposition(dec: Decomposition, perm: Permutation) -> Decompositio
 
 
 def chain_through(dec: Decomposition, word: int) -> tuple[int, int]:
-    """(chain index, position) of `word`; total whenever `dec` is a partition."""
+    """(chain index, position) of the first occurrence of `word`: the first
+    chain that holds it, then its first position there.  Total whenever
+    `dec` is a partition; a word on no chain raises `KeyError`.
+
+    The scan tests each chain with `operator.contains` at C level and
+    allocates nothing of size 2^n."""
     check_word(word, dec.n)
-    return dec.locator[word]
+    for idx in compress(count(), map(contains, dec.chains, repeat(word))):
+        return idx, dec.chains[idx].index(word)
+    raise KeyError(word)
+
+
+def _first_chains(dec: Decomposition) -> dict[int, int]:
+    """Word -> index of the first chain that holds it: `chain_through`'s
+    chain index for every word at once, built from the chains in one pass.
+    The later chains are read first, so the first chain's entry is the one
+    kept.  A word on no chain has no key."""
+    return {w: idx for idx, ch in reversed(tuple(enumerate(dec.chains))) for w in ch}

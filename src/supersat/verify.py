@@ -11,6 +11,7 @@ from typing import NamedTuple
 from supersat.core import Family, binom, sigma
 from supersat.scd import (
     Permutation,
+    _first_chains,
     bracketing_chain_of,
     permute_decomposition,
     scd_bracketing,
@@ -139,9 +140,10 @@ def scd_suite(n_max: int = 8) -> list[Check]:
     detail = f"inductive and bracketing chains coincide for n in {list(range(1, n_max + 1))}"
     for n in range(1, n_max + 1):
         dec = scd_bracketing(n)
+        first = _first_chains(dec)
         for w in range(1 << n):
             want = bracketing_chain_of(n, w)
-            if compare_ok and (w not in dec.locator or dec.chains[dec.locator[w][0]] != want):
+            if compare_ok and (w not in first or dec.chains[first[w]] != want):
                 compare_ok, detail = False, f"n={n}, word {w}: not on its bracket chain {want}"
     checks.append(Check("constructions_comparison", compare_ok, detail))
     return checks

@@ -6,7 +6,7 @@ import pytest
 
 from supersat.core import LevelInterval, binom, build_b_family, level_words, middle_levels, sigma
 from supersat.counting import count_k_chains
-from supersat.scd import Permutation, permute_decomposition, scd_bracketing, scd_inductive
+from supersat.scd import Permutation, chain_through, permute_decomposition, scd_bracketing, scd_inductive
 from supersat.bounds import (
     added_row_level,
     binomial_identity_holds,
@@ -159,7 +159,7 @@ def test_closed_forms_match_enumeration_on_random_chains():
 
 def test_enumeration_matches_the_per_bit_mapping_on_every_chain():
     # reference: every relabeling maps every word through
-    # `Permutation.apply_to_word`; the permuted decomposition has another locator
+    # `Permutation.apply_to_word`; the permuted decomposition puts the words on other chains
     for n in range(1, 6):
         perms = [Permutation(tuple(i + 1 for i in image)) for image in permutations(range(n))]
         images = [[p.apply_to_word(w) for w in range(1 << n)] for p in perms]
@@ -168,7 +168,7 @@ def test_enumeration_matches_the_per_bit_mapping_on_every_chain():
             chains = [(w,) for w in range(1 << n)]
             while chains:
                 for chain in chains:
-                    want = sum(len({dec.locator[img[w]][0] for w in chain}) == 1 for img in images)
+                    want = sum(len({chain_through(dec, img[w])[0] for w in chain}) == 1 for img in images)
                     assert n_permutations_enumerate(dec, chain) == want, (n, chain)
                 chains = [
                     ch + (s,) for ch in chains for s in range(ch[-1] + 1, 1 << n) if s & ch[-1] == ch[-1]

@@ -7,6 +7,7 @@ from supersat.core import binom, level
 from supersat.scd import (
     Decomposition,
     Permutation,
+    _first_chains,
     bracketing_chain_of,
     chain_through,
     permute_decomposition,
@@ -58,7 +59,7 @@ def test_bracketing_chain_of_agrees_with_decomposition():
     for n in range(1, 13):
         dec = scd_bracketing(n)
         for word in range(1 << n):
-            idx, pos = dec.locator[word]
+            idx, pos = chain_through(dec, word)
             chain = bracketing_chain_of(n, word)
             assert dec.chains[idx] == chain
             assert chain[pos] == word
@@ -79,23 +80,14 @@ def test_validate_rejects_missing_subset():
 
 
 def test_validate_rejects_a_word_on_two_chains():
-    # word 1 sits on chain 0 and again as chain 1; the locator keeps the first
+    # word 1 sits on chain 0 and again as chain 1; `chain_through` finds the first
     dec = Decomposition.from_chains(2, [(0, 1, 3), (1,), (2,)])
     assert dec.chains == ((0, 1, 3), (1,), (2,))
-    assert dec.locator[1] == (0, 1)
+    assert chain_through(dec, 1) == (0, 1)
     report = validate_scd(dec)
     assert not report.partition and not report.locator
     assert report.skipless and not report.ok
     assert "locator disagrees with chain 1 at position 0" in report.problems
-
-
-def test_locator_is_built_only_when_read():
-    dec = scd_inductive(12)
-    assert len(dec.chains) == binom(12, 6)
-    assert "locator" not in dec.__dict__
-    assert chain_through(dec, 0) == (0, 0)
-    assert "locator" in dec.__dict__ and len(dec.locator) == 1 << 12
-    assert dec == scd_inductive(12)
 
 
 def test_validate_rejects_asymmetric_chain():
@@ -157,6 +149,26 @@ def test_permuted_decompositions_stay_valid():
                 assert validate_scd(permuted).ok
 
 
+def test_validate_reports_empty_chains_and_words_outside_the_ground_set():
+    # each as a partition problem, not an exception; -1 is not read as word 3
+    cases = [
+        (((0, 8),), "chain 0 holds 8, which is not a subset of [2]", "chains cover 1 of 4 subsets"),
+        (((0,), (1, -1)), "chain 1 holds -1, which is not a subset of [2]", "chains cover 2 of 4 subsets"),
+        (((),), "chain 0 is empty", "chains cover 0 of 4 subsets"),
+        # the lattice is covered once, but the extra chain is no part of a partition
+        (((0, 1, 3), (2,), (4,)), "chain 2 holds 4, which is not a subset of [2]", None),
+        (((0, 1, 3), (2,), ()), "chain 2 is empty", None),
+    ]
+    for chains, problem, coverage in cases:
+        report = validate_scd(Decomposition(2, chains))
+        assert not report.partition and not report.ok, chains
+        assert problem in report.problems, report.problems
+        assert coverage is None or coverage in report.problems, report.problems
+    # an empty chain is no partition block, and no other property's failure
+    report = validate_scd(Decomposition(2, ((0, 1, 3), (2,), ())))
+    assert report.skipless and report.symmetric and report.locator
+
+
 def test_compose_and_inverse():
     p = Permutation((2, 3, 1))
     assert p.compose(p.inverse()) == Permutation.identity(3)
@@ -179,6 +191,35 @@ def test_chain_through_positions():
             for word in range(1 << n):
                 i, p = chain_through(dec, word)
                 assert dec.chains[i][p] == word
+
+
+def test_chain_through_raises_key_error_for_a_word_on_no_chain():
+    dec = Decomposition.from_chains(3, [(0, 1, 3, 7), (2, 6, 2)])
+    assert chain_through(dec, 6) == (1, 1)
+    assert chain_through(dec, 2) == (1, 0)  # the first position on the chain
+    for word in (4, 5):
+        with pytest.raises(KeyError):
+            chain_through(dec, word)
+    with pytest.raises(ValueError):
+        chain_through(dec, 8)
+
+
+def test_first_chain_table_agrees_with_chain_through():
+    # the table `nperm --enumerate` and `verify` read: first chain wins, no key off the chains
+    decs = [
+        Decomposition(2, ((0, 1, 3), (1,), (2,))),
+        Decomposition(3, ((0, 1, 3, 7), (2, 6), (6, 2))),
+        Decomposition(2, ((0, 8), (1, -1), ())),
+        permute_decomposition(scd_inductive(6), Permutation((3, 1, 6, 2, 5, 4))),
+    ]
+    for dec in decs:
+        want = {}
+        for word in range(1 << dec.n):
+            try:
+                want[word] = chain_through(dec, word)[0]
+            except KeyError:
+                pass
+        assert {w: i for w, i in _first_chains(dec).items() if 0 <= w < 1 << dec.n} == want
 
 
 def test_min_level_census():

@@ -128,6 +128,8 @@ def test_reprs_name_the_fields_but_not_the_mask():
         (lambda: Permutation((1, 1, 2)), ValueError),
         (lambda: Permutation((2, 3)), ValueError),
         (lambda: Permutation(()), ValueError),
+        (lambda: Decomposition(0, ((0,),)), ValueError),
+        (lambda: Decomposition(21, ()), ValueError),
     ],
 )
 def test_invalid_values_raise_the_same_error_types(make, error):
@@ -142,16 +144,30 @@ def test_keyword_construction_matches_positional():
     assert Decomposition(n=2, chains=((0, 1, 3), (2,))) == scd_inductive(2)
 
 
-def test_locator_is_built_once_then_reused_and_is_not_a_field():
-    dec, same = scd_inductive(6), scd_inductive(6)
-    assert "locator" not in dec.__dict__
-    first = dec.locator
-    assert dec.locator is first and chain_through(dec, 5) == first[5]
-    assert dec == same and hash(dec) == hash(same)
-    assert "locator" not in pickle.loads(pickle.dumps(dec)).__dict__
-    with pytest.raises(AttributeError):
-        dec.locator = {}
-    assert dec.locator is first
+def test_decomposition_holds_only_n_and_chains(capsys, monkeypatch):
+    # every lookup reads the chains, so no call leaves anything on the value
+    import supersat.scd
+    from supersat.bounds import n_permutations_enumerate
+    from supersat.cli import main
+
+    dec = scd_inductive(6)
+    assert chain_through(dec, 5) == (2, 1)
+    assert n_permutations_enumerate(dec, (0, 1, 3)) == 24
+    assert validate_scd(dec).ok
+    assert set(vars(dec)) == {"n", "chains"}
+    assert set(vars(pickle.loads(pickle.dumps(dec)))) == {"n", "chains"}
+
+    built = []
+
+    def recording(n):
+        built.append(scd_inductive(n))
+        return built[-1]
+
+    monkeypatch.setattr(supersat.scd, "scd_inductive", recording)
+    assert main(["scd", "--n", "6"]) == 0
+    assert main(["scd", "--n", "6", "--validate"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 20 + 1
+    assert [set(vars(d)) for d in built] == [{"n", "chains"}] * 2
 
 
 RECORDS = [
