@@ -233,6 +233,29 @@ def test_nperm_payload(capsys):
     }
 
 
+def test_scd_dump_never_builds_the_locator(capsys, monkeypatch):
+    import supersat.scd
+    from supersat.scd import scd_inductive
+
+    built = []
+
+    def recording(n):
+        built.append(scd_inductive(n))
+        return built[-1]
+
+    def refuse(dec):
+        raise AssertionError("first-chain table built")
+
+    monkeypatch.setattr(supersat.scd, "scd_inductive", recording)
+    monkeypatch.setattr(supersat.scd, "_first_chains", refuse)
+    code, out, _ = run_cli(capsys, "scd", "--n", "12")
+    assert code == 0 and len(out.splitlines()) == binom(12, 6)
+    assert set(vars(built[0])) == {"n", "chains"}
+    code, out, _ = run_cli(capsys, "scd", "--n", "12", "--validate")
+    assert code == 0 and json.loads(out)["checks"]["locator"] is True
+    assert set(vars(built[1])) == {"n", "chains"}
+
+
 def test_nperm_enumerate_rejects_large_n_before_building_the_scd(capsys, monkeypatch):
     import supersat.scd
 

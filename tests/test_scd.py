@@ -90,6 +90,24 @@ def test_validate_rejects_a_word_on_two_chains():
     assert "locator disagrees with chain 1 at position 0" in report.problems
 
 
+def test_locator_is_built_only_when_read(monkeypatch):
+    # `chain_through` and `validate_scd` read the chains; neither builds the
+    # first-chain table nor leaves anything on the value
+    import supersat.scd
+
+    def refuse(dec):
+        raise AssertionError("first-chain table built")
+
+    monkeypatch.setattr(supersat.scd, "_first_chains", refuse)
+    dec = scd_inductive(12)
+    assert len(dec.chains) == binom(12, 6)
+    assert chain_through(dec, 0) == (0, 0)
+    assert chain_through(dec, (1 << 12) - 1) == (0, 12)
+    assert validate_scd(dec).locator
+    assert set(vars(dec)) == {"n", "chains"}
+    assert dec == scd_inductive(12)
+
+
 def test_validate_rejects_asymmetric_chain():
     dec = Decomposition.from_chains(2, [(0, 1), (2, 3)])
     report = validate_scd(dec)

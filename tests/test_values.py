@@ -144,30 +144,31 @@ def test_keyword_construction_matches_positional():
     assert Decomposition(n=2, chains=((0, 1, 3), (2,))) == scd_inductive(2)
 
 
-def test_decomposition_holds_only_n_and_chains(capsys, monkeypatch):
-    # every lookup reads the chains, so no call leaves anything on the value
+def test_locator_is_built_once_then_reused_and_is_not_a_field(monkeypatch):
+    # the word -> chain lookup reads the chains: `nperm --enumerate` builds its
+    # first-chain table once per call and reuses it for all n! relabelings,
+    # and nothing is left on the value, which holds only n and chains
     import supersat.scd
     from supersat.bounds import n_permutations_enumerate
-    from supersat.cli import main
 
-    dec = scd_inductive(6)
-    assert chain_through(dec, 5) == (2, 1)
-    assert n_permutations_enumerate(dec, (0, 1, 3)) == 24
-    assert validate_scd(dec).ok
-    assert set(vars(dec)) == {"n", "chains"}
-    assert set(vars(pickle.loads(pickle.dumps(dec)))) == {"n", "chains"}
+    dec, same = scd_inductive(6), scd_inductive(6)
+    first_chains, built = supersat.scd._first_chains, []
 
-    built = []
-
-    def recording(n):
-        built.append(scd_inductive(n))
+    def recording(d):
+        built.append(first_chains(d))
         return built[-1]
 
-    monkeypatch.setattr(supersat.scd, "scd_inductive", recording)
-    assert main(["scd", "--n", "6"]) == 0
-    assert main(["scd", "--n", "6", "--validate"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 20 + 1
-    assert [set(vars(d)) for d in built] == [{"n", "chains"}] * 2
+    monkeypatch.setattr(supersat.scd, "_first_chains", recording)
+    assert n_permutations_enumerate(dec, (0, 1, 3)) == 24
+    assert len(built) == 1 and len(built[0]) == 1 << 6
+    assert chain_through(dec, 5) == (2, 1) and dec.chains[built[0][5]] == dec.chains[2]
+    assert validate_scd(dec).ok
+    assert set(vars(dec)) == {"n", "chains"}
+    assert dec == same and hash(dec) == hash(same)
+    assert set(vars(pickle.loads(pickle.dumps(dec)))) == {"n", "chains"}
+    with pytest.raises(AttributeError):
+        dec.locator = {}
+    assert set(vars(dec)) == {"n", "chains"}
 
 
 RECORDS = [
