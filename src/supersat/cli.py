@@ -131,13 +131,7 @@ def _cmd_scd(args) -> int:
                 "method": args.method,
                 "chains": len(dec.chains),
                 "valid": report.ok,
-                "checks": {
-                    "partition": report.partition,
-                    "skipless": report.skipless,
-                    "symmetric": report.symmetric,
-                    "chain_count": report.chain_count,
-                    "locator": report.locator,
-                },
+                "checks": dict(zip(report._fields[:5], report[:5])),
                 "problems": list(report.problems),
             }
         )

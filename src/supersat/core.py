@@ -168,7 +168,8 @@ class Family(_Value):
         # a bytearray would leave the family mutable through an alias
         if type(mask) is not bytes:
             raise TypeError(f"mask must be bytes, got {type(mask).__name__}")
-        if len(mask) != 1 << n or mask.translate(None, b"\0\1"):
+        # two counts allocate nothing, so the check holds no second 2^n-byte buffer
+        if len(mask) != 1 << n or mask.count(0) + mask.count(1) != len(mask):
             raise ValueError(f"mask must hold one 0/1 byte for each of the {1 << n} subsets")
         self._set(n, mask)
 

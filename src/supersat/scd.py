@@ -5,11 +5,12 @@ decompositions."""
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import compress, count, repeat
-from operator import contains
+from operator import and_, contains
 from typing import Iterable, NamedTuple, Sequence
 
-from supersat.core import _Value, binom, check_ground_set, check_word, level
+from supersat.core import _Value, binom, check_ground_set, check_word
 
 # A chain is a strictly inclusion-increasing tuple of subset words.
 Chain = tuple[int, ...]
@@ -18,6 +19,12 @@ Chain = tuple[int, ...]
 def _chain_order(ch: Chain) -> tuple[int, int]:
     """Canonical chain order: lowest level on the chain, then smallest word."""
     return min(map(int.bit_count, ch)), min(ch)
+
+
+def _in_ground_set(ch: Chain, n: int) -> bool:
+    """Whether the chain is nonempty and every word on it is a subset of
+    [n]: two C-level calls, its least and greatest word."""
+    return bool(ch) and min(ch) >= 0 and not max(ch) >> n
 
 
 class Permutation(_Value):
@@ -82,26 +89,19 @@ class Decomposition(_Value):
     @classmethod
     def from_chains(cls, n: int, chains: Iterable[Sequence[int]]) -> "Decomposition":
         """The checked constructor: every chain nonempty and every word a
-        subset of [n], chains sorted by `_chain_order`.
+        subset of [n] (`_in_ground_set`), chains sorted by `_chain_order`.
 
-        `scd_inductive` and `permute_decomposition` call the class
-        directly and skip the word checks, since their words are subsets of
-        [n] by construction: the inductive chains add bits below n to words
-        of [n - 1], and a permutation of [n] maps the words of a checked
-        decomposition to words of [n].  `permute_decomposition` sorts by
-        `_chain_order` itself; `scd_inductive` sorts by each chain's first
-        word, which gives the same key on its ascending chains.  The tests
-        pin both against this constructor.
+        `scd_inductive` calls the class directly: its chains add bits below
+        n to words of [n - 1], and sorting them by first word gives the same
+        key on its ascending chains.  `permute_decomposition` applies the
+        same test to each chain it maps, and sorts by `_chain_order` itself.
+        The tests pin both against this constructor.
         """
         check_ground_set(n)
-        canon = []
-        for ch in chains:
-            ch = tuple(ch)
-            if not ch:
-                raise ValueError("empty chain")
-            for w in ch:
-                check_word(w, n)
-            canon.append(ch)
+        canon = [tuple(ch) for ch in chains]
+        for idx, ch in enumerate(canon):
+            if not _in_ground_set(ch, n):
+                raise ValueError(f"chain {idx} is empty or holds a word outside [{n}]")
         canon.sort(key=_chain_order)
         return cls(n, tuple(canon))
 
@@ -204,63 +204,59 @@ def validate_scd(dec: Decomposition) -> ScdValidation:
     the place it sits on its chain.  Empty chains and words outside [n] are
     reported as partition problems."""
     n = dec.n
-    problems: list[str] = []
-
-    # one seen flag per word of [n]: 1 MiB at n = 20, where a set of the
-    # words raised the peak by about 45 MiB
+    partition, skipless, symmetric = [], [], []
+    # one flag per word of [n]: 1 MiB at n = 20, where a set added about 45 MiB
     seen = bytearray(1 << n)
-    duplicates = 0
-    first_repeat: tuple[int, int] | None = None
+    mark, ones = seen.__setitem__, repeat(1)  # shared: repeat(1) never runs out
+    placed = 0
     for idx, ch in enumerate(dec.chains):
-        if not ch:
-            problems.append(f"chain {idx} is empty")
-        for pos, w in enumerate(ch):
-            if w >> n:  # also for w < 0, which shifts to -1
-                problems.append(f"chain {idx} holds {w}, which is not a subset of [{n}]")
-                continue
-            if seen[w]:
-                duplicates += 1
-                if first_repeat is None:
-                    first_repeat = (idx, pos)
-            seen[w] = 1
-    covered = (1 << n) - seen.count(0)
-    # every problem so far is an empty chain or a word outside [n]
-    partition = not problems and duplicates == 0 and covered == 1 << n
-    if duplicates:
-        problems.append(f"{duplicates} subsets appear on more than one chain")
-    if covered != 1 << n:
-        problems.append(f"chains cover {covered} of {1 << n} subsets")
-
-    skipless = True
-    for idx, ch in enumerate(dec.chains):
-        for a, b in zip(ch, ch[1:]):
-            if (a & b) != a or level(b) != level(a) + 1:
-                skipless = False
-                problems.append(f"chain {idx} is not a skipless chain")
-                break
-
-    symmetric = True
-    for idx, ch in enumerate(dec.chains):
-        # an empty chain, reported above, spans [n, 0] here
-        lo = min(map(level, ch), default=n)
-        hi = max(map(level, ch), default=0)
+        inside = ch
+        if not _in_ground_set(ch, n):
+            if not ch:
+                partition.append(f"chain {idx} is empty")
+            partition += [f"chain {idx} holds {w}, which is not a subset of [{n}]"
+                          for w in ch if w >> n]
+            inside = [w for w in ch if not w >> n]  # w >> n is -1 for w < 0
+        deque(map(mark, inside, ones), 0)
+        placed += len(inside)
+        # a skipless chain climbs one level a step, so its ends are its
+        # extremes; an empty chain spans [n, 0], skipless and symmetric
+        levels = list(map(int.bit_count, ch))
+        lo, hi = (levels[0], levels[-1]) if ch else (n, 0)
+        if levels != list(range(lo, hi + 1)) or list(map(and_, ch, ch[1:])) != list(ch[:-1]):
+            skipless.append(f"chain {idx} is not a skipless chain")
+            lo, hi = min(levels), max(levels)
         if lo + hi != n:
-            symmetric = False
-            problems.append(f"chain {idx} spans levels [{lo}, {hi}], not symmetric")
-
+            symmetric.append(f"chain {idx} spans levels [{lo}, {hi}], not symmetric")
+    covered = (1 << n) - seen.count(0)
+    duplicates = placed - covered
+    if duplicates:
+        partition.append(f"{duplicates} subsets appear on more than one chain")
+    if covered != 1 << n:
+        partition.append(f"chains cover {covered} of {1 << n} subsets")
     expected = binom(n, n // 2)
-    chain_count = len(dec.chains) == expected
-    if not chain_count:
-        problems.append(f"{len(dec.chains)} chains, expected C(n, n//2) = {expected}")
+    chain_count = []
+    if len(dec.chains) != expected:
+        chain_count.append(f"{len(dec.chains)} chains, expected C(n, n//2) = {expected}")
+    locator = []
+    if duplicates:  # `chain_through` finds first occurrences, so it errs at the first repeat
+        locator.append("locator disagrees with chain %d at position %d" % _first_repeat(dec))
+    found = (partition, skipless, symmetric, chain_count, locator)
+    return ScdValidation(*[not problems for problems in found], tuple(sum(found, [])))
 
-    # `chain_through` finds each word's first occurrence, so it disagrees
-    # with the chains exactly at the first repeated word
-    locator = first_repeat is None
-    if first_repeat is not None:
-        idx, pos = first_repeat
-        problems.append(f"locator disagrees with chain {idx} at position {pos}")
 
-    return ScdValidation(partition, skipless, symmetric, chain_count, locator, tuple(problems))
+def _first_repeat(dec: Decomposition) -> tuple[int, int] | None:
+    """(chain index, position) of the first word of [n] that an earlier
+    chain or position already holds, or None.  It walks every word in
+    Python, so `validate_scd` calls it only once it has counted a repeat."""
+    seen = bytearray(1 << dec.n)
+    for idx, ch in enumerate(dec.chains):
+        for pos, w in enumerate(ch):
+            if not w >> dec.n:
+                if seen[w]:
+                    return idx, pos
+                seen[w] = 1
+    return None
 
 
 def permute_decomposition(dec: Decomposition, perm: Permutation) -> Decomposition:
@@ -271,7 +267,9 @@ def permute_decomposition(dec: Decomposition, perm: Permutation) -> Decompositio
     elements h+1..n, each table grown by doubling as in `core._line_heads`.
     Two half tables take 2^h + 2^(n-h) ints where one of all 2^n words
     would raise the peak memory at n = 20.  `Permutation.apply_to_word`
-    is the per-word reference the tests compare against.
+    is the per-word reference the tests compare against.  A chain that is
+    empty or holds a word outside [n] raises `ValueError`, since a negative
+    word would wrap through hi[-1] to a valid image.
     """
     n = dec.n
     if perm.n != n:
@@ -287,7 +285,11 @@ def permute_decomposition(dec: Decomposition, perm: Permutation) -> Decompositio
         tables.append(images)
     lo, hi = tables
     low = (1 << h) - 1
-    chains = [tuple([lo[w & low] | hi[w >> h] for w in ch]) for ch in dec.chains]
+    chains = []
+    for idx, ch in enumerate(dec.chains):
+        if not _in_ground_set(ch, n):
+            raise ValueError(f"chain {idx} is empty or holds a word outside [{n}]")
+        chains.append(tuple([lo[w & low] | hi[w >> h] for w in ch]))
     chains.sort(key=_chain_order)
     return Decomposition(n, tuple(chains))
 

@@ -206,6 +206,7 @@ def test_scd_validate_report(capsys):
     assert payload["valid"] is True
     assert payload["chains"] == binom(6, 3)
     assert all(payload["checks"].values())
+    assert list(payload["checks"]) == ["partition", "skipless", "symmetric", "chain_count", "locator"]
 
 
 def test_scd_permuted_still_valid(capsys):

@@ -185,6 +185,20 @@ def test_constructor_rejects_a_bad_mask():
         Family(0, b"\x01")
 
 
+def test_mask_check_allocates_no_copy_of_the_mask():
+    import tracemalloc
+
+    mask = bytes(range(2)) * (1 << 15)
+    tracemalloc.start()
+    try:
+        fam = Family(16, mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fam.size() == 1 << 15
+    assert peak < 1024, peak
+
+
 def test_ground_set_is_checked_before_any_allocation():
     # n = 64 would ask for 2^64 bytes if the mask were allocated first
     for n in (0, 21, 64, True, -1):

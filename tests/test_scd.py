@@ -7,6 +7,7 @@ from supersat.core import binom, level
 from supersat.scd import (
     Decomposition,
     Permutation,
+    ScdValidation,
     _first_chains,
     bracketing_chain_of,
     chain_through,
@@ -341,3 +342,169 @@ def test_validate_counts_repeats_and_coverage():
         "chains cover 3 of 4 subsets",
     )
     assert "locator disagrees with chain 1 at position 0" in report.problems
+
+
+# Whole reports: every flag, and every problem in the order `validate_scd`
+# lists them (partition, skipless, symmetric, chain count, locator; chain by
+# chain within each).
+VALIDATION_CASES = [
+    # a valid decomposition
+    (2, ((0, 1, 3), (2,)), (True, True, True, True, True), ()),
+    # a skipped level
+    (2, ((0, 3), (1,), (2,)), (True, False, True, False, True), (
+        "chain 0 is not a skipless chain",
+        "3 chains, expected C(n, n//2) = 2",
+    )),
+    # missing subset
+    (2, ((0, 1, 3),), (False, True, True, False, True), (
+        "chains cover 3 of 4 subsets",
+        "1 chains, expected C(n, n//2) = 2",
+    )),
+    # repeat on two chains
+    (2, ((0, 1, 3), (1,), (2,)), (False, True, True, False, False), (
+        "1 subsets appear on more than one chain",
+        "3 chains, expected C(n, n//2) = 2",
+        "locator disagrees with chain 1 at position 0",
+    )),
+    # asymmetric
+    (2, ((0, 1), (2, 3)), (True, True, False, True, True), (
+        "chain 0 spans levels [0, 1], not symmetric",
+        "chain 1 spans levels [1, 2], not symmetric",
+    )),
+    # repeated words and a missing subset
+    (2, ((0, 1), (1,), (1, 3)), (False, True, False, False, False), (
+        "2 subsets appear on more than one chain",
+        "chains cover 3 of 4 subsets",
+        "chain 0 spans levels [0, 1], not symmetric",
+        "chain 2 spans levels [1, 2], not symmetric",
+        "3 chains, expected C(n, n//2) = 2",
+        "locator disagrees with chain 1 at position 0",
+    )),
+    # word >= 2^n
+    (2, ((0, 8),), (False, True, False, False, True), (
+        "chain 0 holds 8, which is not a subset of [2]",
+        "chains cover 1 of 4 subsets",
+        "chain 0 spans levels [0, 1], not symmetric",
+        "1 chains, expected C(n, n//2) = 2",
+    )),
+    # negative word
+    (2, ((0,), (1, -1)), (False, False, False, True, True), (
+        "chain 1 holds -1, which is not a subset of [2]",
+        "chains cover 2 of 4 subsets",
+        "chain 1 is not a skipless chain",
+        "chain 0 spans levels [0, 0], not symmetric",
+    )),
+    # empty chain only
+    (2, ((),), (False, True, True, False, True), (
+        "chain 0 is empty",
+        "chains cover 0 of 4 subsets",
+        "1 chains, expected C(n, n//2) = 2",
+    )),
+    # extra empty chain
+    (2, ((0, 1, 3), (2,), ()), (False, True, True, False, True), (
+        "chain 2 is empty",
+        "3 chains, expected C(n, n//2) = 2",
+    )),
+    # descending
+    (2, ((3, 1, 0), (2,)), (True, False, True, True, True), (
+        "chain 0 is not a skipless chain",
+    )),
+    # duplicated chain
+    (3, ((0, 1, 3, 7), (2, 6), (4, 5), (4, 5)), (False, True, True, False, False), (
+        "2 subsets appear on more than one chain",
+        "4 chains, expected C(n, n//2) = 3",
+        "locator disagrees with chain 3 at position 0",
+    )),
+    # word repeated within a chain
+    (3, ((0, 1, 1, 3, 7), (2, 6), (4, 5)), (False, False, True, True, False), (
+        "1 subsets appear on more than one chain",
+        "chain 0 is not a skipless chain",
+        "locator disagrees with chain 0 at position 2",
+    )),
+    # words outside [n] on either side, and an empty chain
+    (3, ((0, 1, 3, 7), (2, 6, -6, 9), (4, 5), (), (-1,)), (False, False, False, False, True), (
+        "chain 1 holds -6, which is not a subset of [3]",
+        "chain 1 holds 9, which is not a subset of [3]",
+        "chain 3 is empty",
+        "chain 4 holds -1, which is not a subset of [3]",
+        "chain 1 is not a skipless chain",
+        "chain 4 spans levels [1, 1], not symmetric",
+        "5 chains, expected C(n, n//2) = 3",
+    )),
+    # reversed chains and a repeat
+    (3, ((7, 3, 1, 0), (6, 2), (5, 4), (0, 2)), (False, False, False, False, False), (
+        "2 subsets appear on more than one chain",
+        "chain 0 is not a skipless chain",
+        "chain 1 is not a skipless chain",
+        "chain 2 is not a skipless chain",
+        "chain 3 spans levels [0, 1], not symmetric",
+        "4 chains, expected C(n, n//2) = 3",
+        "locator disagrees with chain 3 at position 0",
+    )),
+    # ends symmetric, extremes not
+    (3, ((1, 0, 3), (2, 6), (4, 5), (7,)), (True, False, False, False, True), (
+        "chain 0 is not a skipless chain",
+        "chain 0 spans levels [0, 2], not symmetric",
+        "chain 3 spans levels [3, 3], not symmetric",
+        "4 chains, expected C(n, n//2) = 3",
+    )),
+    # negative words in inclusion order
+    (2, ((-4, -3), (0, 1, 3), (2,)), (False, True, False, False, True), (
+        "chain 0 holds -4, which is not a subset of [2]",
+        "chain 0 holds -3, which is not a subset of [2]",
+        "chain 0 spans levels [1, 2], not symmetric",
+        "3 chains, expected C(n, n//2) = 2",
+    )),
+    # one level a step, but 1 is no subset of 6
+    (3, ((0, 1, 6, 7), (2, 3), (4, 5)), (True, False, True, True, True), (
+        "chain 0 is not a skipless chain",
+    )),
+    # a word outside [n] between two that are inside
+    (2, ((0, 5, 1, 3), (2,)), (False, False, True, True, True), (
+        "chain 0 holds 5, which is not a subset of [2]",
+        "chain 0 is not a skipless chain",
+    )),
+    # a negative word, then a repeat
+    (2, ((0, 1, 3), (-1,), (2, 2)), (False, False, True, False, False), (
+        "chain 1 holds -1, which is not a subset of [2]",
+        "1 subsets appear on more than one chain",
+        "chain 2 is not a skipless chain",
+        "3 chains, expected C(n, n//2) = 2",
+        "locator disagrees with chain 2 at position 1",
+    )),
+]
+
+
+def test_validate_pins_the_whole_report():
+    for n, chains, flags, problems in VALIDATION_CASES:
+        report = validate_scd(Decomposition(n, chains))
+        assert report == ScdValidation(*flags, problems), chains
+
+
+def test_validate_peaks_at_the_seen_flags():
+    import tracemalloc
+
+    dec = scd_inductive(16)
+    tracemalloc.start()
+    try:
+        report = validate_scd(dec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    # one flag byte per word; no per-word list, set or flattened copy
+    assert peak <= (1 << 16) + 16 * 1024, peak
+
+
+def test_permute_rejects_chains_it_cannot_map():
+    swap = Permutation((2, 1))
+    # a negative word would wrap through the image table to a valid word
+    cases = [
+        (((0, 1, 3), (-2,)), 1),
+        (((0, -1, 3), (2,)), 0),
+        (((0, 1, 3), (2, 4)), 1),
+        (((), (0, 1, 3), (2,)), 0),
+    ]
+    for chains, idx in cases:
+        with pytest.raises(ValueError, match=f"chain {idx} is empty or holds a word outside \\[2\\]"):
+            permute_decomposition(Decomposition(2, chains), swap)
