@@ -13,9 +13,10 @@ import math
 from itertools import compress, count, islice, repeat, takewhile
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-# The chain-count kernel holds a few packed ints of 2^n fields, each
-# bitlen((k+1)^n) bits rounded up to bytes, and makes O(k * n) big-int
-# operations on them; at n = 20 (a million subsets) a count takes seconds.
+# The chain-count kernel holds a few packed ints of 2^n fields, level j's
+# bitlen((j+1)^n) bits rounded up to bytes and the final sum's
+# bitlen((k+1)^n), and makes O(k * n) big-int operations on them; at
+# n = 20 (a million subsets) a count takes about a second.
 MAX_N = 20
 
 VARIANTS = ("floor", "ceil")

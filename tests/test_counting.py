@@ -130,12 +130,14 @@ def level_formula(n, k, top_level=None):
 
 
 def test_full_lattice_count_matches_level_formula():
-    for n in range(1, 6):
+    # every width step the kernel takes below n = 13, at every level
+    for n in range(1, 13):
         full = Family.full(n)
         for k in range(1, n + 2):
             by_levels = level_formula(n, k)
-            assert count_k_chains(full, k) == by_levels
-            assert count_k_chains_naive(full, k) == by_levels
+            assert count_k_chains(full, k) == by_levels, (n, k)
+            if n <= 6:
+                assert count_k_chains_naive(full, k) == by_levels, (n, k)
 
 
 def test_packed_zeta_matches_submask_sums_at_each_width():
@@ -153,17 +155,49 @@ def test_packed_zeta_matches_submask_sums_at_each_width():
             assert _fold(packed, n, width) == sum(values)
 
 
-@pytest.mark.parametrize("n, k", [(6, 3), (9, 4), (12, 5), (14, 6)])
+def test_widen_keeps_every_field():
+    # every (width, wide) step the kernel takes at n <= 20, between levels and
+    # before the fold; all-ones fields at the top of the table and inside it
+    # must not spill into the bytes the widening adds
+    steps = {
+        (counting._field_bytes(n, j), counting._field_bytes(n, j + 1))
+        for n in range(1, 21)
+        for j in range(1, n + 1)
+    }
+    rng = random.Random(29)
+    for width, wide in sorted(steps):
+        if width == wide:
+            continue
+        full = (1 << (8 * width)) - 1
+        for bits in (0, 1, 4):
+            values = [rng.choice((0, 1, full, rng.randrange(full + 1))) for _ in range(1 << bits)]
+            values[-1] = full
+            table = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+            widened = counting._widen(table, width, wide, bits)
+            assert [_field(widened, wide, b) for b in range(1 << bits)] == values, (width, wide)
+            assert widened.bit_length() <= 8 * wide << bits
+
+
+# levels 1..12 are each tight at some n <= 20 and no level above 12 is; each
+# pair's k is one level, at an n where that level's width is tight
+@pytest.mark.parametrize(
+    "n, k",
+    [(8, 1), (8, 2), (6, 3), (9, 4), (12, 5), (14, 6), (10, 7), (10, 8), (12, 9), (16, 10), (17, 11), (17, 12)],
+)
 def test_field_width_holds_full_lattice_counts_that_need_its_top_byte(n, k):
-    # the full lattice has the most k-chains of any family over [n], and its
-    # largest per-top field, the chains topped by [n], needs the top byte of
-    # the width `_field_bytes` gives: one byte less carries mid-DP
+    # The zeta over level k of the full lattice sums, at [n], every k-chain
+    # of B_n: level_formula(n, k).  Of those, f_k([n]) end at [n]; the rest,
+    # with [n] put on top, are the (k+1)-chains ending at [n].  The count
+    # needs the top byte of level k's width `_field_bytes(n, k)`, so one byte
+    # less carries mid-DP; the fold to the total ends at the same width.
     width = counting._field_bytes(n, k)
-    on_top = level_formula(n, k, top_level=n)
-    assert on_top.bit_length() > 8 * (width - 1)
-    full = Family.full(n)
-    assert count_k_chains(full, k) == level_formula(n, k)
-    assert count_chains_with_max_endpoint(full, k, (1 << n) - 1) == on_top
+    chains = level_formula(n, k)
+    assert 8 * (width - 1) < chains.bit_length() <= 8 * width
+    full, top = Family.full(n), (1 << n) - 1
+    ending = count_chains_with_max_endpoint(full, k, top)
+    assert ending == level_formula(n, k, top_level=n)
+    assert ending + count_chains_with_max_endpoint(full, k + 1, top) == chains
+    assert count_k_chains(full, k) == chains
 
 
 def test_included_chains_basics():
