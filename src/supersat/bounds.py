@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, islice, permutations
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from supersat.core import (
     Family,
@@ -16,7 +16,6 @@ from supersat.core import (
     binom,
     check_ground_set,
     check_word,
-    level,
     level_words,
     sigma,
 )
@@ -263,11 +262,9 @@ def min_max_yz_verification(n: int, k: int) -> MinMaxYZReport:
 
 def colex_smallest(n: int, lvl: int, count: int) -> list[int]:
     """The `count` colexicographically smallest subsets of [n] of size `lvl`."""
-    out = []
-    for w in level_words(n, lvl):
-        if len(out) == count:
-            break
-        out.append(w)
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    out = list(islice(level_words(n, lvl), count))
     if len(out) < count:
         raise ValueError(f"level {lvl} holds only {len(out)} subsets, need {count}")
     return out
@@ -283,10 +280,10 @@ def build_extremal_family(
     k middle rows.  `selector` picks the x sets on the added row (default:
     colexicographically smallest); any choice yields the same chain count.
 
-    The selected words are checked one by one as they go into the row mask,
-    and counted; none is kept.  The added row lies outside the block rows,
-    so a repeated word shows up as a family of fewer than sigma(n, k-1) + x
-    sets.  A bad word raises as it arrives, before the count is known.
+    The row mask (`core._rows_family`) checks the selected words one by one
+    as they go into it and keeps none of them: a bad word raises as it
+    arrives, and too few, too many or repeated words once the selector runs
+    out.
     """
     _check_nk(n, k)
     limit = tight_x_max(n, k)
@@ -294,21 +291,7 @@ def build_extremal_family(
         raise ValueError(f"x must be in [0, {limit}] for a tight construction, got {x}")
     row = added_row_level(n, k)
     words = selector(n, row, x) if selector is not None else islice(level_words(n, row), x)
-    taken = 0  # words checked so far
-
-    def checked() -> Iterator[int]:
-        nonlocal taken
-        for w in words:
-            check_word(w, n)
-            if level(w) != row:
-                raise ValueError(f"selector returned a set of size {level(w)}, expected {row}")
-            taken += 1
-            yield w
-
-    family = _rows_family(n, middle_rows(n, k - 1), checked())
-    if taken != x or family.size() != sigma(n, k - 1) + x:
-        raise ValueError(f"selector must yield {x} distinct sets")
-    return family
+    return _rows_family(n, middle_rows(n, k - 1), words, row, x)
 
 
 class BoundReport(NamedTuple):

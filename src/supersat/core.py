@@ -10,7 +10,8 @@ membership int.
 from __future__ import annotations
 
 import math
-from itertools import compress, count, islice, repeat, takewhile
+from functools import lru_cache
+from itertools import chain, compress, count, islice, repeat, takewhile
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 # The chain-count kernel holds a few packed ints of 2^n fields, level j's
@@ -86,19 +87,43 @@ def elements_of_word(word: int) -> list[int]:
 
 
 def level_words(n: int, lvl: int) -> Iterator[int]:
-    """All subsets of [n] of size `lvl`, ascending as integers (colex order)."""
-    if lvl < 0 or lvl > n:
-        return
-    if lvl == 0:
-        yield 0
-        return
-    v = (1 << lvl) - 1
-    top = 1 << n
-    while v < top:
-        yield v
-        c = v & -v
-        r = v + c
-        v = (((v ^ r) >> 2) // c) | r
+    """All subsets of [n] of size `lvl`, ascending as integers (colex order).
+
+    A word is (j << h) | i with high half j and low half i of h = n - n // 2
+    bits.  For each high half j in ascending order the row holds the low
+    halves of popcount lvl - popcount(j), ascending, so the row is a chain
+    of one C-level `map` of (j << h).__or__ over each such tuple of low
+    halves, with no Python step per word.  The chain is lazy: the first x
+    words of the row cost O(x + 2^(n // 2)).
+    """
+    heads, lows = _level_picks(n, lvl)
+    return chain.from_iterable(map(map, heads, lows))
+
+
+@lru_cache(maxsize=None)
+def _half_rows(h: int) -> tuple[tuple[int, ...], ...]:
+    """rows[b] holds the h-bit words of popcount b, ascending."""
+    rows: list[list[int]] = [[] for _ in range(h + 1)]
+    for i, b in enumerate(_popcounts(h)):
+        rows[b].append(i)
+    return tuple(map(tuple, rows))
+
+
+# typed, so that a bool or float n misses the cache and is checked; 256
+# holds the 230 pairs (n, lvl) of the lattices up to MAX_N = 20
+@lru_cache(maxsize=256, typed=True)
+def _level_picks(n: int, lvl: int) -> tuple[tuple[Callable[[int], int], ...], tuple[tuple[int, ...], ...]]:
+    """(heads, lows) for `level_words`: heads[t] is (j << h).__or__ and
+    lows[t] the low halves of popcount lvl - popcount(j), for the high
+    halves j that leave that popcount in 0..h, ascending; empty off the
+    lattice."""
+    check_ground_set(n)
+    if not 0 <= lvl <= n:
+        return (), ()
+    h = n - n // 2
+    rows = _half_rows(h)
+    highs = [(j, lvl - b) for j, b in enumerate(_popcounts(n - h)) if 0 <= lvl - b <= h]
+    return tuple((j << h).__or__ for j, _ in highs), tuple(rows[b] for _, b in highs)
 
 
 class LevelInterval(NamedTuple):
@@ -257,20 +282,36 @@ def _popcounts(n: int) -> bytes:
     return pc
 
 
-def _rows_family(n: int, rows: LevelInterval, words: Iterable[int] = ()) -> Family:
+def _rows_family(n: int, rows: LevelInterval, words: Iterable[int] = (), row: int = 0, x: int = 0) -> Family:
     """Every subset whose size lies in rows.lo..rows.hi (none for the empty
-    interval lo = hi + 1), plus `words`, which the caller has checked are
-    subsets of [n].
+    interval lo = hi + 1), plus `words`, which must be x distinct subsets of
+    [n] of size `row`.
 
-    One translate of the popcount table maps those levels to 1 and every
-    other level to 0, which is the mask of the rows."""
-    band = bytes(rows.lo) + b"\1" * rows.width + bytes(256 - rows.lo - rows.width)
-    mask = bytearray(_popcounts(n).translate(band))
+    The words are marked in a copy of the popcount table, where a word's
+    byte is its size, one index per word: the byte must be `row`, or 255
+    for a repeat, and a taken word's byte becomes 255.  `w >> n` is nonzero
+    for every word outside [n], negative words included, so no index wraps.
+    A bad word raises as it arrives, before the next one is drawn; too few
+    or too many words, or a repeat, raise once the words run out.  One
+    translate then maps the rows' levels and 255 to 1 and every other byte
+    to 0, which is the mask, so at most two 2^n-byte buffers are alive at
+    once."""
+    marked = bytearray(_popcounts(n))
+    taken = repeats = 0
     for w in words:
-        mask[w] = 1
-    # drop the bytearray before `Family`'s check copies the mask once more
-    mask = bytes(mask)
-    return Family(n, mask)
+        if w >> n or marked[w] != row:
+            check_word(w, n)
+            if marked[w] != 255:
+                raise ValueError(f"selector returned a set of size {level(w)}, expected {row}")
+            repeats += 1
+        marked[w] = 255
+        taken += 1
+    if taken != x or repeats:
+        raise ValueError(f"selector must yield {x} distinct sets")
+    band = bytes(rows.lo) + b"\1" * rows.width + bytes(255 - rows.lo - rows.width) + b"\1"
+    mask = marked.translate(band)
+    del marked  # before the copy to bytes, which `Family` takes
+    return Family(n, bytes(mask))
 
 
 def build_b_family(n: int, k: int, variant: str = "floor") -> Family:

@@ -163,7 +163,7 @@ def centered_family(n: int, m: int, mirror_partial: bool = False) -> Family:
     # binom is 0 off the lattice, so a missing row holds too few sets
     if mirror_partial and binom(n, other) >= x:
         row = other
-    return _rows_family(n, block, colex_smallest(n, row, x))
+    return _rows_family(n, block, colex_smallest(n, row, x), row, x)
 
 
 def min_chain_count_heuristic(

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from supersat.core import LevelInterval, binom, build_b_family, level_words, middle_levels, sigma
+from supersat.core import Family, LevelInterval, binom, build_b_family, level_words, middle_levels, sigma
 from supersat.counting import count_k_chains
 from supersat.scd import Permutation, chain_through, permute_decomposition, scd_bracketing, scd_inductive
 from supersat.bounds import (
@@ -368,8 +368,108 @@ def test_colex_selector_is_sorted_prefix():
     words = colex_smallest(5, 2, 4)
     assert words == sorted(words)
     assert all(w.bit_count() == 2 for w in words)
-    with pytest.raises(ValueError):
+    assert colex_smallest(4, 2, 0) == []
+    assert colex_smallest(4, 2, 6) == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
+    with pytest.raises(ValueError, match="level 2 holds only 6 subsets, need 7"):
         colex_smallest(4, 2, 7)
+    with pytest.raises(ValueError, match="level 5 holds only 0 subsets, need 1"):
+        colex_smallest(4, 5, 1)
+    with pytest.raises(ValueError, match="count must be nonnegative, got -1"):
+        colex_smallest(4, 2, -1)
+
+
+def _reference_extremal_family(n, k, x, selector):
+    """build_extremal_family by the per-word rules: each selected word is
+    checked as it arrives, first for bits outside [n], then for its size;
+    then the number of words and the family's size are checked."""
+    row = added_row_level(n, k)
+    block = middle_rows(n, k - 1)
+    mask = bytearray(block.lo <= w.bit_count() <= block.hi for w in range(1 << n))
+    taken = 0
+    for w in selector(n, row, x):
+        if w < 0 or w >> n:
+            raise ValueError(f"subset word {w} has bits outside [1, {n}]")
+        if w.bit_count() != row:
+            raise ValueError(f"selector returned a set of size {w.bit_count()}, expected {row}")
+        taken += 1
+        mask[w] = 1
+    if taken != x or mask.count(1) != sigma(n, k - 1) + x:
+        raise ValueError(f"selector must yield {x} distinct sets")
+    return Family(n, bytes(mask))
+
+
+def _random_selection(rng, n, k, x):
+    """x words of the added row, some of them perturbed: repeated, off the
+    row, negative, too wide, dropped or one too many."""
+    row = added_row_level(n, k)
+    on_row = [w for w in range(1 << n) if w.bit_count() == row]
+    words = rng.sample(on_row, x)
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        fault = rng.randrange(6)
+        at = rng.randint(0, len(words))
+        if fault == 0 and words:
+            words.insert(at, rng.choice(words))
+        elif fault == 1:
+            off = [w for w in range(1 << n) if w.bit_count() != row]
+            words.insert(at, rng.choice(off))
+        elif fault == 2:
+            words.insert(at, rng.randint(-(1 << (n + 1)), -1))
+        elif fault == 3:
+            words.insert(at, rng.randint(1 << n, 1 << (n + 2)))
+        elif fault == 4 and words:
+            del words[rng.randrange(len(words))]
+        else:
+            words.insert(at, rng.choice(on_row))
+    return words
+
+
+def test_extremal_family_matches_the_per_word_rules_on_random_selections():
+    rng = random.Random(20)
+    outcomes = set()
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        k = rng.randint(2, n + 1)
+        x = rng.randint(0, tight_x_max(n, k))
+        words = _random_selection(rng, n, k, x)
+        results = []
+        for build in (_reference_extremal_family, build_extremal_family):
+            drawn = []
+
+            def selector(gs, lvl, count):
+                for w in words:
+                    drawn.append(w)
+                    yield w
+
+            try:
+                got = build(n, k, x, selector)
+            except ValueError as exc:
+                got = str(exc)
+            results.append((got, len(drawn)))
+        # the same family or the same message, with the selector drawn as far
+        assert results[0] == results[1], (n, k, x, words)
+        got = results[0][0]
+        outcomes.add(" ".join(got.split()[:2]) if isinstance(got, str) else "family")
+    # every outcome was seen: a family, and each of the three messages
+    assert outcomes == {"family", "subset word", "selector returned", "selector must"}, outcomes
+
+
+def test_extremal_family_at_the_cap_holds_two_masks_at_most():
+    import tracemalloc
+
+    from supersat import core
+
+    x = tight_x_max(20, 2)
+    # empty the half-word caches, so that their tables count toward the peak
+    core._level_picks.cache_clear()
+    core._half_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        fam = build_extremal_family(20, 2, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fam.size() == sigma(20, 1) + x == 352716
+    assert peak <= 2 * (1 << 20) + 256 * 1024, peak
 
 
 def test_bound_report_payload():

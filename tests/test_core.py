@@ -1,5 +1,5 @@
 import random
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,12 +137,33 @@ def test_build_b_family_matches_a_level_words_reference():
 
 
 def test_level_words_are_colex_sorted_and_complete():
-    for n in range(1, 9):
-        for lvl in range(n + 1):
-            words = list(level_words(n, lvl))
-            assert words == sorted(words)
-            assert len(words) == binom(n, lvl)
-            assert all(w.bit_count() == lvl for w in words)
+    for n in range(1, 13):
+        for lvl in range(-1, n + 2):
+            subsets = combinations(range(n), lvl) if lvl >= 0 else ()
+            want = sorted(sum(1 << e for e in subset) for subset in subsets)
+            assert list(level_words(n, lvl)) == want, (n, lvl)
+            assert len(want) == binom(n, lvl)
+
+
+def test_level_words_prefix_is_lazy():
+    import tracemalloc
+
+    # the first words of the middle row at the cap, as Gosper's hack steps them
+    want, v = [], (1 << 10) - 1
+    for _ in range(5):
+        want.append(v)
+        c = v & -v
+        r = v + c
+        v = (((v ^ r) >> 2) // c) | r
+    tracemalloc.start()
+    try:
+        got = list(islice(level_words(20, 10), 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # the whole row would be 184,756 ints, over 5 MiB; the half-word tables are about 0.1 MiB
+    assert peak < 1 << 20, peak
 
 
 def test_family_validation():
@@ -200,9 +221,13 @@ def test_mask_check_allocates_no_copy_of_the_mask():
 
 
 def test_ground_set_is_checked_before_any_allocation():
-    # n = 64 would ask for 2^64 bytes if the mask were allocated first
+    # n = 64 would ask for 2^64 bytes if the mask were allocated first, and
+    # 2^32 words of half-word tables for a row; the rows of n = 1 are cached
+    # first, so that n = True would find them if the cache took it for 1
+    assert [list(level_words(1, lvl)) for lvl in (0, 1)] == [[0], [1]]
+    rows = (lambda n: level_words(n, 0), lambda n: level_words(n, 1))
     for n in (0, 21, 64, True, -1):
-        for build in (Family.empty, Family.full, lambda n: Family.from_bits(n, 0)):
+        for build in (Family.empty, Family.full, lambda n: Family.from_bits(n, 0), *rows):
             with pytest.raises(ValueError, match="ground-set size"):
                 build(n)
 
