@@ -5,19 +5,22 @@ construction.
 
 The exact minima come from one subset-zeta transform over the lattice of all
 2^(2^n) families (n <= 4), with the k-chains of the full lattice as its
-input, so every family's chain count is read off a single table."""
+input, so every family's chain count is read off a single table, and each
+size's witness is the family at the minimum's index in `level_words` order.
+The centered construction is built and counted in one place
+(`_centered_start`), once per size, and the annealer walks from it in one
+place (`_anneal`), which the heuristic and the comparison table share."""
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from typing import NamedTuple
 
-from supersat.core import Family, _popcounts, _rows_family, binom, check_ground_set, sigma
-from supersat.bounds import added_row_level, colex_smallest, middle_rows
+from supersat.core import Family, _half_rows, _popcounts, _rows_family, binom, check_ground_set, level_words, sigma
+from supersat.bounds import added_row_level, middle_rows
 from supersat.counting import _check_k, _count, _zeta, count_k_chains
 
 EXACT_N_MAX = 4
@@ -60,12 +63,13 @@ def _exact_table(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     The minima are read without a Python loop over the families.  Family
     f = (r << h) | c sits in row r, column c of the table, h = 2^n // 2.
-    Transposing the table with its columns taken in popcount order, then
-    transposing back, regroups every row's columns by popcount, ascending
-    within one popcount.  The families of size m are then, row after row,
-    one run of columns of popcount m - |r| each, in ascending bitset order,
-    so in their joined bytes the first `bytes.find` hit of the least count
-    present is the minimum and its hit the smallest witness.
+    Transposing the table with its columns taken in popcount order
+    (`_half_rows(h)`), then transposing back, regroups every row's columns
+    by popcount, ascending within one popcount.  The families of size m are
+    then, row after row, one run of columns of popcount m - |r| each, which
+    is `level_words(2^n, m)` order, so in their joined bytes the first
+    `bytes.find` hit of the least count present is the minimum, and the
+    word at the hit's place in that order its smallest witness.
     """
     size = 1 << n
     # (top word, word bitset) of every j-chain, grown by one strict superset at a time
@@ -85,33 +89,26 @@ def _exact_table(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     counts = _zeta(int.from_bytes(marks, "little"), size, 1).to_bytes(1 << size, "little")
     h = size >> 1
     ncols, nrows = 1 << h, 1 << (size - h)
-    pc = _popcounts(size - h)
-    order = sorted(range(ncols), key=pc.__getitem__)
-    # the columns of popcount b are order[starts[b]:starts[b + 1]]
-    starts = [0, *accumulate(binom(h, b) for b in range(h + 1))]
-    by_column = b"".join(counts[c::ncols] for c in order)
+    halves = _half_rows(h)
+    # the columns of popcount b are at starts[b]:starts[b + 1] of each row
+    starts = [0, *accumulate(map(len, halves))]
+    by_column = b"".join(counts[c::ncols] for c in chain.from_iterable(halves))
     table = b"".join(by_column[r::nrows] for r in range(nrows))
-    rows: list[list[int]] = [[] for _ in range(size + 1)]
     runs: list[list[bytes]] = [[] for _ in range(size + 1)]
-    for r in range(nrows):
+    for r, a in enumerate(_popcounts(size - h)):
         base = r << h
         for b in range(h + 1):
-            rows[pc[r] + b].append(r)
-            runs[pc[r] + b].append(table[base + starts[b] : base + starts[b + 1]])
+            runs[a + b].append(table[base + starts[b] : base + starts[b + 1]])
     mins, wits = [], []
     cnt = 0
-    for m in range(size + 1):
-        group = b"".join(runs[m])
+    for m, run in enumerate(runs):
+        group = b"".join(run)
         # the minimum never falls as m grows: dropping a set from a family
         # of size m adds no chain, so the search resumes at the last minimum
         while (hit := group.find(cnt)) < 0:
             cnt += 1
-        ends = list(accumulate(map(len, runs[m])))
-        i = bisect_right(ends, hit)
-        r = rows[m][i]
-        column = hit - (ends[i - 1] if i else 0)
         mins.append(cnt)
-        wits.append(r << h | order[starts[m - pc[r]] + column])
+        wits.append(next(islice(level_words(size, m), hit, None)))
     return tuple(mins), tuple(wits)
 
 
@@ -131,7 +128,8 @@ def max_free_family(n: int, k: int) -> tuple[int, Family]:
     _check_exact_n(n)
     _check_k(k)
     mins, wits = _exact_table(n, k)
-    best = max(m for m in range(len(mins)) if mins[m] == 0)
+    # the minima never fall as the size grows, so the chain-free sizes come first
+    best = mins.count(0) - 1
     return best, Family.from_bits(n, wits[best])
 
 
@@ -163,7 +161,19 @@ def centered_family(n: int, m: int, mirror_partial: bool = False) -> Family:
     # binom is 0 off the lattice, so a missing row holds too few sets
     if mirror_partial and binom(n, other) >= x:
         row = other
-    return _rows_family(n, block, colex_smallest(n, row, x), row, x)
+    return _rows_family(n, block, islice(level_words(n, row), x), row, x)
+
+
+def _centered_start(n: int, k: int, m: int) -> tuple[int, Family]:
+    """The centered construction of size m with its k-chain count: the
+    partial-level side that counts lower, and on a tie the one whose
+    membership bitset is smaller (reversed masks compare as the bitsets
+    do).  The set drops a side equal to the other before any comparison,
+    so each side is built and counted once and two families are never
+    compared."""
+    sides = {centered_family(n, m), centered_family(n, m, mirror_partial=True)}
+    count, _, start = min((count_k_chains(fam, k), fam.mask[::-1], fam) for fam in sides)
+    return count, start
 
 
 def min_chain_count_heuristic(
@@ -182,21 +192,26 @@ def min_chain_count_heuristic(
     if iterations < 0:
         raise ValueError("iterations must be nonnegative")
 
-    # seed the walk at the centered construction (the conjectured optimum),
-    # whichever partial-level side counts lower; on a tie, reversed masks
-    # compare exactly as the membership bitsets would
-    start = min(
-        {centered_family(n, m), centered_family(n, m, mirror_partial=True)},
-        key=lambda fam: (count_k_chains(fam, k), fam.mask[::-1]),
-    )
-    best_count = current = count_k_chains(start, k)
-    space = 1 << n
-    if m == 0 or m == space or iterations == 0 or best_count == 0:
-        return OracleResult(n, k, m, best_count, start, False)
+    # seed the walk at the centered construction (the conjectured optimum)
+    count, start = _centered_start(n, k, m)
+    best_count, best = _anneal(k, start, count, seed, iterations)
+    return OracleResult(n, k, m, best_count, best, False)
+
+
+def _anneal(k: int, start: Family, count: int, seed: int, iterations: int) -> tuple[int, Family]:
+    """Annealed single-swap walk from `start`, whose k-chain count is
+    `count`: the lowest count met and a family that has it.  An empty, full
+    or chain-free start, or no iterations, returns the start before the
+    random stream is drawn from."""
+    space = len(start.mask)
+    m = start.size()
+    if m == 0 or m == space or iterations == 0 or count == 0:
+        return count, start
 
     # one working mask, swapped in place and swapped back on reject
     rng = random.Random(seed)
     mask = bytearray(start.mask)
+    best_count = current = count
     best_mask = start.mask
     inside = list(start.words())
     outside = [w for w in range(space) if not start.mask[w]]
@@ -220,7 +235,7 @@ def min_chain_count_heuristic(
         else:
             mask[inside[i]], mask[outside[j]] = 1, 0
         temperature *= cooling
-    return OracleResult(n, k, m, best_count, Family(n, best_mask), False)
+    return best_count, Family(start.n, best_mask)
 
 
 class KleitmanRow(NamedTuple):
@@ -236,10 +251,7 @@ class KleitmanRow(NamedTuple):
 def construction_count(n: int, k: int, m: int) -> int:
     """Chain count of the centered construction, taking the better of the two
     partial-level sides when the block leaves a choice."""
-    return min(
-        count_k_chains(centered_family(n, m), k),
-        count_k_chains(centered_family(n, m, mirror_partial=True), k),
-    )
+    return _centered_start(n, k, m)[0]
 
 
 def kleitman_report(
@@ -247,9 +259,11 @@ def kleitman_report(
 ) -> list[KleitmanRow]:
     """Minimum k-chain count versus the centered construction for every size.
 
-    Exact minima for n <= 4; annealing upper bounds (exact = False) for
-    5 <= n <= 10.  Rows where the construction already reaches zero skip the
-    search, since no family can do better.
+    Exact minima for n <= 4, read from one exhaustive table; annealing upper
+    bounds (exact = False) for 5 <= n <= 10, each walked from the size's
+    construction, which is built and counted once.  Rows where the
+    construction already reaches zero skip the search, since no family can
+    do better.
     """
     check_ground_set(n)
     _check_k(k)
@@ -259,14 +273,10 @@ def kleitman_report(
         raise ValueError("iterations must be nonnegative")
     rows = []
     exact = n <= EXACT_N_MAX
+    mins = _exact_table(n, k)[0] if exact else None
     for m in range((1 << n) + 1):
-        built = construction_count(n, k, m)
-        if exact:
-            found = min_chain_count_exact(n, k, m).min_count
-        elif built == 0:
-            found = 0
-        else:
-            # the walk starts at the construction and only records lower counts
-            found = min_chain_count_heuristic(n, k, m, seed=seed, iterations=iterations).min_count
+        built, start = _centered_start(n, k, m)
+        # the walk starts at the construction and only records lower counts
+        found = mins[m] if exact else _anneal(k, start, built, seed, iterations)[0]
         rows.append(KleitmanRow(m, found, exact, built, found == built))
     return rows

@@ -311,6 +311,24 @@ def test_kleitman_rows_never_beat_the_construction():
             assert all(row.equal for row in rows), (n, k)
 
 
+def test_kleitman_rows_match_the_public_functions():
+    # each row reads the same construction and the same walk as the public
+    # functions: annealed rows for n = 5, 6, exact rows for n <= 4
+    for n in (5, 6):
+        for k in (2, 3):
+            for row in kleitman_report(n, k, seed=3, iterations=60):
+                built = construction_count(n, k, row.size)
+                found = min_chain_count_heuristic(n, k, row.size, seed=3, iterations=60).min_count
+                assert row.construction_count == built, (n, k, row.size)
+                assert row.min_count == (found if built else 0), (n, k, row.size)
+                assert row.equal == (row.min_count == built), (n, k, row.size)
+    for n in range(1, 5):
+        for k in range(1, n + 3):
+            for row in kleitman_report(n, k):
+                assert row.min_count == min_chain_count_exact(n, k, row.size).min_count, (n, k, row.size)
+                assert row.construction_count == construction_count(n, k, row.size), (n, k, row.size)
+
+
 def test_construction_count_prefers_better_side():
     for n, k in ((4, 2), (5, 2), (5, 3)):
         for m in range(0, (1 << n) + 1, 3):
