@@ -186,23 +186,6 @@ def min_max_yz_minimizer(n: int, k: int) -> tuple[int, ...]:
     return tuple(range(top - k + 1, top + 1))
 
 
-def min_max_yz_exhaustive(n: int, k: int) -> tuple[int, tuple[int, ...]]:
-    """Verification mode: minimize max{y, z} over every k-level tuple.
-
-    Returns the true minimum and its lexicographically smallest witness.
-    """
-    _check_nk(n, k)
-    best: Optional[int] = None
-    arg: tuple[int, ...] = ()
-    for levels in combinations(range(n + 1), k):
-        y, z = yz(n, levels)
-        value = max(y, z)
-        if best is None or value < best:
-            best, arg = value, levels
-    assert best is not None
-    return best, arg
-
-
 class MinMaxYZReport(NamedTuple):
     """Exhaustive audit of the max{y, z} minimization for one (n, k).
 
@@ -260,14 +243,15 @@ def min_max_yz_verification(n: int, k: int) -> MinMaxYZReport:
     )
 
 
-def colex_smallest(n: int, lvl: int, count: int) -> list[int]:
-    """The `count` colexicographically smallest subsets of [n] of size `lvl`."""
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    out = list(islice(level_words(n, lvl), count))
-    if len(out) < count:
-        raise ValueError(f"level {lvl} holds only {len(out)} subsets, need {count}")
-    return out
+def min_max_yz_exhaustive(n: int, k: int) -> tuple[int, tuple[int, ...]]:
+    """Verification mode: minimize max{y, z} over every k-level tuple.
+
+    Returns the true minimum and its lexicographically smallest witness,
+    the `exhaustive_min` and `exhaustive_argmin` of
+    `min_max_yz_verification`, whose one sweep decides both.
+    """
+    report = min_max_yz_verification(n, k)
+    return report.exhaustive_min, report.exhaustive_argmin
 
 
 def build_extremal_family(
@@ -303,10 +287,9 @@ class BoundReport(NamedTuple):
     sigma_threshold: int
     bound_value: int
     tight_x_max: int
-    achieved_count: Optional[int] = None
 
     def to_payload(self) -> dict:
-        payload = {
+        return {
             "n": self.n,
             "k": self.k,
             "x": self.x,
@@ -314,12 +297,9 @@ class BoundReport(NamedTuple):
             "bound": self.bound_value,
             "tight_x_max": self.tight_x_max,
         }
-        if self.achieved_count is not None:
-            payload["achieved"] = self.achieved_count
-        return payload
 
 
-def bound_report(n: int, k: int, x: int, achieved: Optional[int] = None) -> BoundReport:
+def bound_report(n: int, k: int, x: int) -> BoundReport:
     """The bound for a family of sigma(n, k-1) + x sets, which must fit in the
     2^n subsets of [n]."""
     _check_nk(n, k)
@@ -333,5 +313,4 @@ def bound_report(n: int, k: int, x: int, achieved: Optional[int] = None) -> Boun
         sigma_threshold=threshold,
         bound_value=supersat_bound(n, k, x),
         tight_x_max=tight_x_max(n, k),
-        achieved_count=achieved,
     )

@@ -163,13 +163,9 @@ def _cmd_nperm(args) -> int:
     }
     payload["agree"] = payload["factorial_form"] == payload["ratio_form"]
     if args.enumerate:
-        chain = []
-        word = 0
-        for lvl in levels:
-            while word.bit_count() < lvl:
-                word |= 1 << word.bit_count()
-            chain.append(word)
         check_enumerable(args.n)  # before building a decomposition it would not use
+        # the chain of initial segments [lvl]; the formulas above have checked the levels
+        chain = [(1 << lvl) - 1 for lvl in levels]
         enumerated = n_permutations_enumerate(scd_inductive(args.n), chain)
         payload["enumerated"] = enumerated
         payload["agree"] = payload["agree"] and enumerated == payload["factorial_form"]

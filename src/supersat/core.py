@@ -67,16 +67,6 @@ def level(word: int) -> int:
     return word.bit_count()
 
 
-def word_from_elements(elements: Iterable[int], n: int) -> int:
-    check_ground_set(n)
-    word = 0
-    for e in elements:
-        if not 1 <= e <= n:
-            raise ValueError(f"element {e} outside [1, {n}]")
-        word |= 1 << (e - 1)
-    return word
-
-
 def elements_of_word(word: int) -> list[int]:
     out = []
     while word:
@@ -109,6 +99,13 @@ def _half_rows(h: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
+@lru_cache(maxsize=None)
+def _high_heads(n: int) -> tuple[Callable[[int], int], ...]:
+    """heads[j] is (j << h).__or__ for every high half j of [n], h = n - n // 2."""
+    h = n - n // 2
+    return tuple((j << h).__or__ for j in range(1 << (n - h)))
+
+
 # typed, so that a bool or float n misses the cache and is checked; 256
 # holds the 230 pairs (n, lvl) of the lattices up to MAX_N = 20
 @lru_cache(maxsize=256, typed=True)
@@ -116,14 +113,17 @@ def _level_picks(n: int, lvl: int) -> tuple[tuple[Callable[[int], int], ...], tu
     """(heads, lows) for `level_words`: heads[t] is (j << h).__or__ and
     lows[t] the low halves of popcount lvl - popcount(j), for the high
     halves j that leave that popcount in 0..h, ascending; empty off the
-    lattice."""
+    lattice.  The heads are the shared ones of `_high_heads(n)`, so a level
+    keeps only references to them."""
     check_ground_set(n)
     if not 0 <= lvl <= n:
         return (), ()
     h = n - n // 2
     rows = _half_rows(h)
-    highs = [(j, lvl - b) for j, b in enumerate(_popcounts(n - h)) if 0 <= lvl - b <= h]
-    return tuple((j << h).__or__ for j, _ in highs), tuple(rows[b] for _, b in highs)
+    # the popcount each high half leaves to its low halves
+    left = [lvl - b for b in _popcounts(n - h)]
+    keep = [0 <= b <= h for b in left]
+    return tuple(compress(_high_heads(n), keep)), tuple(map(rows.__getitem__, compress(left, keep)))
 
 
 class LevelInterval(NamedTuple):

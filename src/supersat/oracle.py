@@ -49,8 +49,15 @@ def _check_size(n: int, m: int) -> None:
         raise ValueError(f"family size must be in [0, {1 << n}], got {m}")
 
 
-@lru_cache(maxsize=None)
 def _exact_table(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`_exact_sweep(n, k)`.  No chain of [n] has more than n + 1 sets, so
+    every k > n + 1 shares the k = n + 2 table, whose chain list runs out
+    on its last step."""
+    return _exact_sweep(n, min(k, n + 2))
+
+
+@lru_cache(maxsize=None)
+def _exact_sweep(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Exhaustive k-chain minima over every family of every size, n <= 4.
 
     A k-chain lies in a family iff the 2^n-bit set of its words is a subset

@@ -65,7 +65,7 @@ def _random_chain(rng: random.Random, n: int, k: int) -> tuple[int, ...]:
     return tuple(chain)
 
 
-def scd_suite(n_max: int = 8) -> list[Check]:
+def scd_suite() -> list[Check]:
     """Deterministic: it draws nothing at random, so it takes no seed.
     `scd_bracketing` is `scd_inductive`, so only the inductive SCD is
     validated; `constructions_comparison` checks `scd_bracketing` against
@@ -73,21 +73,21 @@ def scd_suite(n_max: int = 8) -> list[Check]:
     checks = []
 
     bad = []
-    for n in range(1, n_max + 1):
+    for n in range(1, 9):
         report = validate_scd(scd_inductive(n))
         if not report.ok:
             bad.append((n, report.problems))
     checks.append(
         Check(
-            f"inductive_valid_through_n{n_max}",
+            "inductive_valid_through_n8",
             not bad,
-            f"failures: {bad}" if bad else f"all n <= {n_max} pass every SCD property",
+            f"failures: {bad}" if bad else "all n <= 8 pass every SCD property",
         )
     )
 
     census_ok = True
     detail = ""
-    for n in range(1, n_max + 1):
+    for n in range(1, 9):
         seen = Counter(min(w.bit_count() for w in ch) for ch in scd_inductive(n).chains)
         for lvl, count in seen.items():
             if count != binom(n, lvl) - binom(n, lvl - 1):
@@ -97,7 +97,7 @@ def scd_suite(n_max: int = 8) -> list[Check]:
 
     pair_ok = True
     detail = ""
-    for n in range(1, n_max + 1):
+    for n in range(1, 9):
         dec = scd_inductive(n)
         for a in range(n + 1):
             for b in range(a, n - a + 1):
@@ -137,8 +137,8 @@ def scd_suite(n_max: int = 8) -> list[Check]:
 
     # the one construction against the bracket rule applied word by word
     compare_ok = True
-    detail = f"inductive and bracketing chains coincide for n in {list(range(1, n_max + 1))}"
-    for n in range(1, n_max + 1):
+    detail = "inductive and bracketing chains coincide for n in [1, 2, 3, 4, 5, 6, 7, 8]"
+    for n in range(1, 9):
         dec = scd_bracketing(n)
         first = _first_chains(dec)
         for w in range(1 << n):
@@ -149,12 +149,12 @@ def scd_suite(n_max: int = 8) -> list[Check]:
     return checks
 
 
-def counting_suite(seed: int = 2024, samples: int = 100) -> list[Check]:
+def counting_suite(seed: int = 2024) -> list[Check]:
     checks = []
     rng = random.Random(seed)
 
     mismatches = 0
-    for _ in range(samples):
+    for _ in range(100):
         fam = _random_family(rng, 6)
         for k in (2, 3, 4):
             if count_k_chains(fam, k) != count_k_chains_naive(fam, k):
@@ -163,13 +163,13 @@ def counting_suite(seed: int = 2024, samples: int = 100) -> list[Check]:
         Check(
             "dp_matches_naive_n6",
             mismatches == 0,
-            f"{mismatches} mismatches over {samples} random families, k in 2..4",
+            f"{mismatches} mismatches over 100 random families, k in 2..4",
         )
     )
 
     included_ok = True
     pigeonhole_ok = True
-    for _ in range(max(1, samples // 2)):
+    for _ in range(50):
         n = rng.randint(2, 8)
         k = rng.randint(1, min(4, n + 1))
         dec = scd_inductive(n)
@@ -211,7 +211,7 @@ def counting_suite(seed: int = 2024, samples: int = 100) -> list[Check]:
     return checks
 
 
-def theorem_suite(seed: int = 2024, chains_per: int = 50) -> list[Check]:
+def theorem_suite(seed: int = 2024) -> list[Check]:
     checks = []
     rng = random.Random(seed)
 
@@ -222,7 +222,7 @@ def theorem_suite(seed: int = 2024, chains_per: int = 50) -> list[Check]:
         for k in range(1, 5):
             if k > n + 1:
                 continue
-            for _ in range(chains_per):
+            for _ in range(50):
                 chain = _random_chain(rng, n, k)
                 levels = tuple(w.bit_count() for w in chain)
                 enumerated = {n_permutations_enumerate(dec, chain)}

@@ -24,7 +24,6 @@ from supersat.core import (
     parse_family,
     serialize_family,
     sigma,
-    word_from_elements,
 )
 
 
@@ -111,7 +110,7 @@ def test_middle_levels_both_variants():
 
 
 def test_build_b_family_small_cases():
-    two_sets = {word_from_elements(pair, 4) for pair in combinations(range(1, 5), 2)}
+    two_sets = {(1 << a) | (1 << b) for a, b in combinations(range(4), 2)}
     assert set(build_b_family(4, 1).words()) == two_sets
     assert set(build_b_family(2, 3).words()) == {0, 1, 2, 3}
     assert build_b_family(5, 2).size() == binom(5, 2) + binom(5, 3) == 20
@@ -164,6 +163,33 @@ def test_level_words_prefix_is_lazy():
     assert got == want
     # the whole row would be 184,756 ints, over 5 MiB; the half-word tables are about 0.1 MiB
     assert peak < 1 << 20, peak
+
+
+def test_level_picks_share_one_head_per_high_half():
+    import tracemalloc
+
+    from supersat import core
+
+    for n in (1, 2, 7, 16):
+        shared = core._high_heads(n)
+        for lvl in range(n + 1):
+            heads, lows = core._level_picks(n, lvl)
+            assert len(heads) == len(lows)
+            assert all(any(head is s for s in shared) for head in heads), (n, lvl)
+    # high half 0 heads every level up to h = 8 of the 16-bit lattice, as one object
+    assert core._level_picks(16, 3)[0][0] is core._level_picks(16, 8)[0][0]
+    core._level_picks.cache_clear()
+    core._high_heads.cache_clear()
+    core._half_rows(8)
+    tracemalloc.start()
+    try:
+        for lvl in range(17):
+            core._level_picks(16, lvl)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 61 KiB; one bound method per high half of every level kept about 220 KiB
+    assert kept < 100 * 1024, kept
 
 
 def test_family_validation():
@@ -646,10 +672,10 @@ def test_family_text_blocks_join_into_the_per_word_lines():
 
 
 def test_word_element_round_trip():
-    assert elements_of_word(word_from_elements([3, 1], 5)) == [1, 3]
+    assert elements_of_word(0b00101) == [1, 3]
     assert elements_of_word(0) == []
-    with pytest.raises(ValueError):
-        word_from_elements([0], 4)
+    for word in range(1 << 5):
+        assert sum(1 << (e - 1) for e in elements_of_word(word)) == word
 
 
 def test_parse_family_never_crashes_on_garbage():

@@ -138,3 +138,13 @@ def test_cli_suite_choices_are_the_verify_suites():
     from supersat.verify import SUITES
 
     assert list(SUITE_CHOICES) == sorted(SUITES)
+
+
+def test_every_module_parses_as_python_3_10():
+    # the oldest Python the package supports; the interpreter running the tests may be newer
+    import ast
+
+    paths = sorted(Path(supersat.__file__).parent.glob("*.py"))
+    assert len(paths) >= 8
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

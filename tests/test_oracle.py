@@ -102,6 +102,20 @@ def test_exact_table_minima_match_a_loop_over_every_family():
             assert _exact_table(n, k) == (tuple(mins), tuple(wits)), (n, k)
 
 
+def test_exact_results_past_the_longest_chain_read_the_k_n_plus_2_table():
+    import time
+
+    # no chain of [4] has more than 5 sets, so k = 10^9 is answered as k = 6,
+    # without growing an empty chain list 10^9 - 1 times
+    start = time.perf_counter()
+    for m in range(17):
+        huge, six = min_chain_count_exact(4, 10**9, m), min_chain_count_exact(4, 6, m)
+        assert (huge.min_count, huge.witness) == (six.min_count, six.witness) == (0, six.witness)
+    assert max_free_family(4, 10**9) == max_free_family(4, 6) == (16, Family.full(4))
+    assert all(row.equal and row.min_count == 0 for row in kleitman_report(4, 10**9))
+    assert time.perf_counter() - start < 0.5
+
+
 def test_exact_minimum_is_monotone_in_size():
     for k in (2, 3, 4):
         values = [min_chain_count_exact(4, k, m).min_count for m in range(17)]

@@ -177,8 +177,8 @@ RECORDS = [
     (Check, ("name", "ok", "detail"), {"detail": ""}),
     (
         BoundReport,
-        ("n", "k", "x", "sigma_threshold", "bound_value", "tight_x_max", "achieved_count"),
-        {"achieved_count": None},
+        ("n", "k", "x", "sigma_threshold", "bound_value", "tight_x_max"),
+        {},
     ),
     (
         MinMaxYZReport,
@@ -213,8 +213,7 @@ def test_record_fields_and_defaults_are_pinned(record, fields, defaults):
 
 def test_records_keep_their_methods_and_are_immutable():
     report = bound_report(4, 2, 1)
-    assert report.achieved_count is None and "achieved" not in report.to_payload()
-    assert report._replace(achieved_count=3).to_payload()["achieved"] == 3
+    assert report._replace(x=3).to_payload()["x"] == 3
     assert validate_scd(scd_inductive(5)).ok
     assert not ScdValidation(True, True, True, True, False).ok
     assert Check("c", True).detail == ""
