@@ -14,10 +14,10 @@ from functools import lru_cache
 from itertools import chain, compress, count, islice, repeat, takewhile
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-# The chain-count kernel holds a few packed ints of 2^n fields, level j's
-# bitlen((j+1)^n) bits rounded up to bytes and the final sum's
-# bitlen((k+1)^n), and makes O(k * n) big-int operations on them; at
-# n = 20 (a million subsets) a count takes about a second.
+# The chain-count kernel holds each DP level as blocks of up to 2^12 packed
+# fields, level j's bitlen((j+1)^n) bits rounded up to bytes and the final
+# sum's bitlen((k+1)^n), and makes O(k * n) big-int operations on each block;
+# at n = 20 (a million subsets) a count takes a few tenths of a second.
 MAX_N = 20
 
 VARIANTS = ("floor", "ceil")

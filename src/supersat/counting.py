@@ -3,22 +3,32 @@ decomposition chain, and endpoint-pinned counts.
 
 Every count of chains inside a family comes from one kernel, `_chains_by_top`:
 a subset-zeta dynamic program over the 2^n subset words, each DP level held
-as one packed Python int with one field per word.  Each level's field width
+as a list of blocks, packed Python ints of 2^b fields each with
+b = min(`_BLOCK_BITS`, n), one field per word.  Each level's field width
 comes from an a-priori bound on every value that level reaches (see
-`_chains_by_top`), so counts are exact with no overflow to detect; the table
-is widened between levels as the bound grows.  Its transform `_zeta` also
-serves the exhaustive n <= 4 sweep in `supersat.oracle`, run once over the
-lattice of all families.
+`_chains_by_top`), so counts are exact with no overflow to detect; the blocks
+are widened between levels as the bound grows.  Its in-block transform
+`_zeta` also serves the exhaustive n <= 4 sweep in `supersat.oracle`, run
+once over the lattice of all families.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from supersat.core import Family, binom, level
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
+
     from supersat.scd import Decomposition
+
+# Every DP level is held as blocks of 2^_BLOCK_BITS fields, 4 KiB per byte of
+# field width (12 to 24 KiB at the 3- to 6-byte widths of n = 20, k = 5), so
+# the ints a block's passes make stay in cache; at n = 20, counts ran fastest
+# with 10 to 13 block bits.  At n <= _BLOCK_BITS the table is one block.
+_BLOCK_BITS = 12
 
 
 def _check_k(k: int) -> None:
@@ -52,32 +62,40 @@ def _widen(table: int, width: int, wide: int, bits: int) -> int:
     return int.from_bytes(out, "little")
 
 
-def _zeta(table: int, bits: int, width: int) -> int:
-    """Subset-sum transform of a packed table of 2^bits fields, `width`
-    bytes each, field i at bits [8*width*i, 8*width*(i+1)): field B becomes
-    the sum of fields A over every index A contained in B.
-
-    The pass for bit b adds each field whose index has bit b clear onto its
-    partner with bit b set: one mask, one shift and one addition on the
-    whole int.  The passes run from the top bit down.  The mask of bit b is
-    runs of `shift` one bits alternating with `shift` zero bits from bit 0,
-    where `shift = 8 * width * 2^b` is the distance to the partner; the top
-    bit's is the low half of the table, `(1 << shift) - 1`.  Halving `shift`
-    and setting `mask ^= mask << shift` turns every run of 2 * shift ones or
-    zeros into shift ones then shift zeros, the mask of the next bit down:
-    two big-int operations per mask instead of building it from bytes.
-    Passes over different bits commute, since each adds along its own
-    coordinate of the index cube, so any order gives the same fields.
-    The mask is one more table-sized int alive during the passes.  The caller
-    guarantees every sum fits its field: a carry would spill into the next
-    field.
-    """
+def _pass_masks(bits: int, width: int) -> Iterator[tuple[int, int]]:
+    """(mask, shift) of each `_zeta` pass over 2^bits `width`-byte fields,
+    top bit first, made one at a time.  Bit b's partner is
+    `shift = 8 * width * 2^b` bits up, and its mask is runs of `shift` ones
+    alternating with `shift` zeros from bit 0.  Halving `shift` and setting
+    `mask ^= mask << shift` splits every run in two: the next bit's mask in
+    two big-int operations."""
     shift = (width << 3) << bits >> 1
     mask = (1 << shift) - 1
     for _ in range(bits):
-        table += (table & mask) << shift
+        yield mask, shift
         shift >>= 1
         mask ^= mask << shift
+
+
+@lru_cache(maxsize=None)
+def _block_passes(bits: int, width: int) -> tuple[tuple[int, int], ...]:
+    """`_pass_masks(bits, width)`, built once for every block at that width.
+    The kernel asks for bits <= `_BLOCK_BITS` and widths of at most 11 bytes
+    (n <= 20), so the cache stays small: 0.6 MiB for n = 20, k = 5."""
+    return tuple(_pass_masks(bits, width))
+
+
+def _zeta(table: int, passes: Iterable[tuple[int, int]]) -> int:
+    """Subset-sum transform of a packed table of 2^bits `width`-byte
+    fields, field i at bits [8*width*i, 8*width*(i+1)), by its `passes`,
+    `_pass_masks(bits, width)`: field B becomes the sum of fields A over
+    every A contained in B.  Each pass adds the fields whose index has its
+    bit clear onto their partners: one mask, one shift and one addition.
+    Passes over different bits commute, since each adds along its own
+    coordinate of the index cube.  The caller guarantees every sum fits its
+    field: a carry would spill into the next field."""
+    for mask, shift in passes:
+        table += (table & mask) << shift
     return table
 
 
@@ -98,18 +116,23 @@ def _field(table: int, width: int, index: int) -> int:
     return table >> ((width << 3) * index) & ((1 << (width << 3)) - 1)
 
 
-def _chains_by_top(mask: bytes | bytearray, k: int) -> tuple[int, int]:
+def _chains_by_top(mask: bytes | bytearray, k: int) -> tuple[list[int], int]:
     """Per subset word B, the number of strict k-chains of the family whose
-    largest set is B (0 when B is not a member), packed as field B of one int;
-    returns the table and its field width in bytes, `_field_bytes(n, k - 1)`
-    (`_field_bytes(n, 1)` at k = 1).
+    largest set is B (0 when B is not a member), as blocks of 2^b fields,
+    b = min(`_BLOCK_BITS`, n): word i * 2^b + r is field r of block i.
+    Returns the blocks and their field width in bytes,
+    `_field_bytes(n, k - 1)` (`_field_bytes(n, 1)` at k = 1).
 
     Level j holds f_j(B) = sum of f_{j-1}(A) over members A strictly inside B,
-    computed as `(_zeta(f_{j-1}) - f_{j-1}) & fam`, where `fam` has all-ones
-    fields at the members: O(k * n) operations on ints of 2^n fields.  The
-    zeta over f_j runs at W_j = `_field_bytes(n, j)` bytes per field; the
-    table is widened to W_{j+1} before the next zeta, and `fam` is rebuilt at
-    the new width.
+    computed as `(zeta(f_{j-1}) - f_{j-1}) & fam`, where `fam` has all-ones
+    fields at the members.  The zeta's passes over the high n - b bits run
+    first, on a copy of the level, each adding block i ^ step onto every
+    block i with that bit set; then `_zeta` runs the low b bits' passes in
+    each block with the masks all blocks share.  That is O(k * n) operations
+    on each block.  The zeta over f_j runs at W_j = `_field_bytes(n, j)`
+    bytes per field; the blocks are widened to W_{j+1} in place before the
+    next zeta, and `fam` is rebuilt at the new width.  At most three tables
+    of blocks are alive: the level, its zeta and `fam`.
 
     Why no field ever carries or borrows:
     - A j-chain A_1 < ... < A_j inside B is fixed by sending each element
@@ -118,9 +141,10 @@ def _chains_by_top(mask: bytes | bytearray, k: int) -> tuple[int, int]:
     - f_{j+1}(B) counts some of the j-chains inside B, those of the family
       strictly inside B (each topped by B), so it is at most (j + 1)^n.
     - The zeta over f_j sums, at B, the j-chains whose top lies inside B,
-      and after any of its passes a field holds a partial sum of them.  So
-      every value at level j, before and after widening, is at most
-      (j + 1)^n < 2^(8 W_j), and no addition carries.
+      and after any of its passes, in a block or across blocks, a field
+      holds a partial sum of them.  So every value at level j, before and
+      after widening, is at most (j + 1)^n < 2^(8 W_j), and no addition
+      carries.
     - zeta(f_j) - f_j is nonnegative in every field, since the zeta sum at
       B includes the term A = B, so no subtraction borrows.
     - Widening moves whole fields into wider ones and changes no value.
@@ -128,19 +152,36 @@ def _chains_by_top(mask: bytes | bytearray, k: int) -> tuple[int, int]:
       way, counts distinct k-chains of the lattice, so it is at most
       (k + 1)^n < 2^(8 W_k) for W_k = `_field_bytes(n, k)`; `_count` shows
       when the narrower width of f_k holds them too.
-    - Whole-byte widths let the table be built and widened by byte slicing.
+    - Whole-byte widths let the blocks be built and widened by byte slicing.
     """
     bits = (len(mask) - 1).bit_length()
+    # min(_BLOCK_BITS, bits), at a tenth of the builtin's call cost
+    low = bits if bits < _BLOCK_BITS else _BLOCK_BITS
+    nblocks = len(mask) >> low
+    blocks = range(nblocks)
     width = _field_bytes(bits, 1)
-    tops = _members(mask, width)
-    fam = tops * ((1 << (width << 3)) - 1)
+    tops = [_members(mask[i << low : i + 1 << low], width) for i in blocks]
+    ones = (1 << (width << 3)) - 1
+    fam = [t * ones for t in tops]
     for j in range(2, k + 1):
-        tops = (_zeta(tops, bits, width) - tops) & fam
+        zeta = tops.copy()
+        step = 1
+        while step < nblocks:
+            for i in blocks:
+                if i & step:
+                    zeta[i] += zeta[i ^ step]
+            step <<= 1
+        passes = _block_passes(low, width)
+        for i in blocks:
+            tops[i] = (_zeta(zeta[i], passes) - tops[i]) & fam[i]
+        del zeta
         if j < k and (wide := _field_bytes(bits, j)) != width:
             del fam
-            tops = _widen(tops, width, wide, bits)
+            for i in blocks:
+                tops[i] = _widen(tops[i], width, wide, low)
             width = wide
-            fam = _members(mask, width) * ((1 << (width << 3)) - 1)
+            ones = (1 << (width << 3)) - 1
+            fam = [_members(mask[i << low : i + 1 << low], width) * ones for i in blocks]
     return tops, width
 
 
@@ -148,32 +189,38 @@ def _count(mask: bytes | bytearray, k: int) -> int:
     """Total number of strict k-chains of the family with membership `mask`.
 
     The fold of f_k starts at the width `_chains_by_top` returns and ends at
-    W_k = `_field_bytes(n, k)`.  Folded down to 2^keep fields, field i sums
+    W_k = `_field_bytes(n, k)`.  Summed down to 2^keep fields, field i sums
     f_k(B) over the tops B that agree with i on the low `keep` bits.  A
     k-chain with top B sends each element of B to the first chain set that
     holds it, so there are at most k^|B| of them, and the sum is at most
-    k^keep * (k + 1)^(n - keep).  So the fold runs at the narrow width while
-    that bound fits it, and the table left is widened to W_k, which holds
-    every partial sum from there on (see `_chains_by_top`).
+    k^keep * (k + 1)^(n - keep).  So the blocks are summed, and the one left
+    folded, at the narrow width while that bound fits it; every partial sum
+    of blocks is bounded by the full one.  What is left is widened to W_k,
+    which holds every partial sum from there on (see `_chains_by_top`).
     """
     bits = (len(mask) - 1).bit_length()
+    low = bits if bits < _BLOCK_BITS else _BLOCK_BITS
     tops, width = _chains_by_top(mask, k)
     wide = _field_bytes(bits, k)
     if wide == width:
-        return _fold(tops, bits, width)
+        return _fold(sum(tops), low, width)
     keep = bits
     while keep and (k ** (keep - 1) * (k + 1) ** (bits - keep + 1)).bit_length() <= width << 3:
         keep -= 1
-    tops = _widen(_fold(tops, bits, width, keep), width, wide, keep)
-    return _fold(tops, keep, wide)
+    if keep <= low:
+        return _fold(_widen(_fold(sum(tops), low, width, keep), width, wide, keep), keep, wide)
+    # the blocks i that agree on their low keep - low bits sum at the narrow width
+    step = 1 << keep - low
+    return _fold(sum(_widen(sum(tops[r::step]), width, wide, low) for r in range(step)), low, wide)
 
 
 def count_k_chains(family: Family, k: int) -> int:
     """Number of strict chains A_1 < ... < A_k with every set in the family.
 
     Packed subset-zeta dynamic program in pure Python, O(k * n) operations
-    on ints of 2^n fields; level j's fields are about n * log2(j + 1) bits
-    wide, and the final sum's n * log2(k + 1).  The count is exact.
+    on each block of 2^min(`_BLOCK_BITS`, n) fields; level j's fields are
+    about n * log2(j + 1) bits wide, and the final sum's n * log2(k + 1).
+    The count is exact.
     """
     _check_k(k)
     if k > family.n + 1:
@@ -240,7 +287,7 @@ def count_chains_with_min_endpoint(family: Family, k: int, word: int) -> int:
     _check_endpoint(family, k, word)
     if k > family.n + 1:
         return 0
-    return _field(*_chains_by_top(family.mask[::-1], k), (1 << family.n) - 1 - word)
+    return _top_field(family.mask[::-1], k, (1 << family.n) - 1 - word)
 
 
 def count_chains_with_max_endpoint(family: Family, k: int, word: int) -> int:
@@ -248,7 +295,15 @@ def count_chains_with_max_endpoint(family: Family, k: int, word: int) -> int:
     _check_endpoint(family, k, word)
     if k > family.n + 1:
         return 0
-    return _field(*_chains_by_top(family.mask, k), word)
+    return _top_field(family.mask, k, word)
+
+
+def _top_field(mask: bytes | bytearray, k: int, word: int) -> int:
+    """f_k(word) of `_chains_by_top`, read from the one block that holds
+    it; at n <= `_BLOCK_BITS` that is field `word` of block 0."""
+    tops, width = _chains_by_top(mask, k)
+    block, field = divmod(word, 1 << _BLOCK_BITS)
+    return _field(tops[block], width, field)
 
 
 def _check_endpoint(family: Family, k: int, word: int) -> None:

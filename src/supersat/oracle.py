@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from supersat.core import Family, _half_rows, _popcounts, _rows_family, binom, check_ground_set, level_words, sigma
 from supersat.bounds import added_row_level, middle_rows
-from supersat.counting import _check_k, _count, _zeta, count_k_chains
+from supersat.counting import _check_k, _count, _pass_masks, _zeta, count_k_chains
 
 EXACT_N_MAX = 4
 HEURISTIC_N_MAX = 10
@@ -92,8 +92,9 @@ def _exact_sweep(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for _, bits in chains:
         marks[bits] = 1
     # B_4 holds at most 110 k-chains (k = 3), and every field of the
-    # transform counts some of them, so one-byte fields never carry
-    counts = _zeta(int.from_bytes(marks, "little"), size, 1).to_bytes(1 << size, "little")
+    # transform counts some of them, so one-byte fields never carry; its 16
+    # masks of 64 KiB are made as the passes read them, not cached
+    counts = _zeta(int.from_bytes(marks, "little"), _pass_masks(size, 1)).to_bytes(1 << size, "little")
     h = size >> 1
     ncols, nrows = 1 << h, 1 << (size - h)
     halves = _half_rows(h)

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from supersat.core import Family, binom, build_b_family, sigma
 from supersat import counting
+from supersat.bounds import build_extremal_family, supersat_bound
 from supersat.counting import (
     _field,
     _fold,
+    _pass_masks,
     _zeta,
     count_chains_with_max_endpoint,
     count_chains_with_min_endpoint,
@@ -149,7 +151,8 @@ def test_packed_zeta_matches_submask_sums_at_each_width():
             values = [rng.randint(0, top) for _ in range(1 << n)]
             expected = [sum(v for a, v in enumerate(values) if a & b == a) for b in range(1 << n)]
             packed = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
-            table = _zeta(packed, n, width)
+            table = _zeta(packed, _pass_masks(n, width))
+            assert _zeta(packed, counting._block_passes(n, width)) == table
             assert [_field(table, width, b) for b in range(1 << n)] == expected
             assert table.bit_length() <= 8 * width << n
             assert _fold(packed, n, width) == sum(values)
@@ -198,6 +201,76 @@ def test_field_width_holds_full_lattice_counts_that_need_its_top_byte(n, k):
     assert ending == level_formula(n, k, top_level=n)
     assert ending + count_chains_with_max_endpoint(full, k + 1, top) == chains
     assert count_k_chains(full, k) == chains
+
+
+def block_size_counts(cases):
+    return [
+        (count_k_chains(fam, k), count_chains_with_min_endpoint(fam, k, w), count_chains_with_max_endpoint(fam, k, w))
+        for fam, k, w in cases
+    ]
+
+
+@pytest.fixture(scope="module")
+def one_block_counts():
+    """(family, k, word) for every n <= 12 and k <= n + 1, on a sparse, a
+    half-full or a dense random family and on the full lattice, whose counts
+    fill the fields the fold sums at the narrow width, each with one of its
+    members as the endpoint; and the counts at the default block size, one
+    block there."""
+    rng = random.Random(31)
+    cases = []
+    for n in range(1, 13):
+        density = (0.2, 0.5, 0.9)[n % 3]
+        for fam in Family.from_words(n, (w for w in range(1 << n) if w == 0 or rng.random() < density)), Family.full(n):
+            cases.extend((fam, k, rng.choice(list(fam.words()))) for k in range(1, n + 2))
+    return cases, block_size_counts(cases)
+
+
+@pytest.mark.parametrize("block_bits", [1, 2, 5])
+def test_every_block_size_gives_the_same_counts(monkeypatch, one_block_counts, block_bits):
+    # a smaller block splits the table, so the passes across blocks, the
+    # blockwise fold and the endpoint's block lookup all run, at every width
+    # step of n <= 12
+    cases, whole = one_block_counts
+    monkeypatch.setattr(counting, "_BLOCK_BITS", block_bits)
+    for (fam, k, w), got, want in zip(cases, block_size_counts(cases), whole):
+        assert got == want, (fam.n, k, block_bits)
+        if fam.n <= 6:
+            assert got[0] == count_k_chains_naive(fam, k), (fam.n, k, block_bits)
+
+
+def test_no_kernel_call_sees_more_than_one_block(monkeypatch):
+    # at n = 14 the table is four blocks of 2^12 fields: every int the kernel
+    # builds, transforms, widens or folds holds one block or less
+    seen = []
+
+    def members(mask, width):
+        seen.append(len(mask))
+        return members_of(mask, width)
+
+    def zeta(table, passes):
+        passes = tuple(passes)
+        seen.append(1 << len(passes))
+        assert table.bit_length() <= 2 * passes[0][1]
+        return zeta_of(table, passes)
+
+    def widen(table, width, wide, bits):
+        seen.append(1 << bits)
+        return widen_of(table, width, wide, bits)
+
+    def fold(table, bits, width, keep=0):
+        seen.append(1 << bits)
+        return fold_of(table, bits, width, keep)
+
+    members_of, zeta_of, widen_of, fold_of = counting._members, counting._zeta, counting._widen, counting._fold
+    monkeypatch.setattr(counting, "_members", members)
+    monkeypatch.setattr(counting, "_zeta", zeta)
+    monkeypatch.setattr(counting, "_widen", widen)
+    monkeypatch.setattr(counting, "_fold", fold)
+    for k, x in ((3, 100), (4, 5)):
+        fam = build_extremal_family(14, k, x)
+        assert count_k_chains(fam, k) == supersat_bound(14, k, x)
+    assert seen and max(seen) == 1 << 12
 
 
 def test_included_chains_basics():
