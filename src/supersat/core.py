@@ -15,7 +15,7 @@ from itertools import chain, compress, count, islice, repeat, takewhile
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 # The chain-count kernel holds each DP level as blocks of up to 2^12 packed
-# fields, level j's bitlen((j+1)^n) bits rounded up to bytes and the final
+# fields, every level's bitlen(k^n) bits rounded up to bytes and the final
 # sum's bitlen((k+1)^n), and makes O(k * n) big-int operations on each block;
 # at n = 20 (a million subsets) a count takes a few tenths of a second.
 MAX_N = 20

@@ -4,12 +4,12 @@ decomposition chain, and endpoint-pinned counts.
 Every count of chains inside a family comes from one kernel, `_chains_by_top`:
 a subset-zeta dynamic program over the 2^n subset words, each DP level held
 as a list of blocks, packed Python ints of 2^b fields each with
-b = min(`_BLOCK_BITS`, n), one field per word.  Each level's field width
-comes from an a-priori bound on every value that level reaches (see
-`_chains_by_top`), so counts are exact with no overflow to detect; the blocks
-are widened between levels as the bound grows.  Its in-block transform
-`_zeta` also serves the exhaustive n <= 4 sweep in `supersat.oracle`, run
-once over the lattice of all families.
+b = min(`_BLOCK_BITS`, n), one field per word.  Every level of a count runs
+at one field width, from an a-priori bound on every value the DP reaches (see
+`_chains_by_top`), so counts are exact with no overflow to detect; only the
+final sum is widened.  Its in-block transform `_zeta` also serves the
+exhaustive n <= 4 sweep in `supersat.oracle`, run once over the lattice of
+all families.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ if TYPE_CHECKING:
     from supersat.scd import Decomposition
 
 # Every DP level is held as blocks of 2^_BLOCK_BITS fields, 4 KiB per byte of
-# field width (12 to 24 KiB at the 3- to 6-byte widths of n = 20, k = 5), so
+# field width (24 KiB at the 6-byte width of n = 20, k = 5), so
 # the ints a block's passes make stay in cache; at n = 20, counts ran fastest
 # with 10 to 13 block bits.  At n <= _BLOCK_BITS the table is one block.
 _BLOCK_BITS = 12
@@ -37,10 +37,28 @@ def _check_k(k: int) -> None:
 
 
 def _field_bytes(n: int, j: int) -> int:
-    """Width of level j of the packed chain DP over [n], in bytes:
-    bitlen((j+1)^n), rounded up to whole bytes.  Every j-chain count the DP
-    sums at level j fits it; `_chains_by_top` proves it."""
+    """bitlen((j+1)^n), rounded up to whole bytes: every count of j-chains
+    inside a subset of [n] fits it.  A k-chain count runs every DP level at
+    `_field_bytes(n, k - 1)` and sums its total at `_field_bytes(n, k)`;
+    `_chains_by_top` proves it."""
     return ((j + 1) ** n).bit_length() + 7 >> 3
+
+
+@lru_cache(maxsize=None)
+def _widths(bits: int, k: int) -> tuple[int, int, int]:
+    """(width, wide, keep) of a k-chain count over [bits]: `_chains_by_top`
+    runs at `width` bytes per field, the total needs `wide` =
+    `_field_bytes(bits, k)`, and `_count` folds at `width` down to 2^keep
+    fields.  Summed down to 2^keep fields, field i sums f_k(B) over the tops
+    B that agree with i on the low `keep` bits.  A k-chain with top B sends
+    each element of B to the first chain set that holds it, so there are at
+    most k^|B| of them, and the sum is at most k^keep * (k + 1)^(n - keep);
+    keep is the least for which that bound fits `width`."""
+    width = _field_bytes(bits, max(k - 1, 1))
+    keep = bits
+    while keep and (k ** (keep - 1) * (k + 1) ** (bits - keep + 1)).bit_length() <= width << 3:
+        keep -= 1
+    return width, _field_bytes(bits, k), keep
 
 
 def _members(mask: bytes | bytearray, width: int) -> int:
@@ -80,8 +98,9 @@ def _pass_masks(bits: int, width: int) -> Iterator[tuple[int, int]]:
 @lru_cache(maxsize=None)
 def _block_passes(bits: int, width: int) -> tuple[tuple[int, int], ...]:
     """`_pass_masks(bits, width)`, built once for every block at that width.
-    The kernel asks for bits <= `_BLOCK_BITS` and widths of at most 11 bytes
-    (n <= 20), so the cache stays small: 0.6 MiB for n = 20, k = 5."""
+    The kernel asks for bits <= `_BLOCK_BITS` and one width per (n, k), at
+    most 11 bytes (n <= 20), so the cache stays small: 0.3 MiB for the
+    6-byte width of n = 20, k = 4 or 5, and 0.5 MiB for 11 bytes."""
     return tuple(_pass_masks(bits, width))
 
 
@@ -116,12 +135,12 @@ def _field(table: int, width: int, index: int) -> int:
     return table >> ((width << 3) * index) & ((1 << (width << 3)) - 1)
 
 
-def _chains_by_top(mask: bytes | bytearray, k: int) -> tuple[list[int], int]:
+def _chains_by_top(mask: bytes | bytearray, k: int) -> list[int]:
     """Per subset word B, the number of strict k-chains of the family whose
     largest set is B (0 when B is not a member), as blocks of 2^b fields,
     b = min(`_BLOCK_BITS`, n): word i * 2^b + r is field r of block i.
-    Returns the blocks and their field width in bytes,
-    `_field_bytes(n, k - 1)` (`_field_bytes(n, 1)` at k = 1).
+    Every field is W bytes wide, the first of `_widths(n, k)`:
+    W = `_field_bytes(n, k - 1)`, or `_field_bytes(n, 1)` at k = 1.
 
     Level j holds f_j(B) = sum of f_{j-1}(A) over members A strictly inside B,
     computed as `(zeta(f_{j-1}) - f_{j-1}) & fam`, where `fam` has all-ones
@@ -129,25 +148,24 @@ def _chains_by_top(mask: bytes | bytearray, k: int) -> tuple[list[int], int]:
     first, on a copy of the level, each adding block i ^ step onto every
     block i with that bit set; then `_zeta` runs the low b bits' passes in
     each block with the masks all blocks share.  That is O(k * n) operations
-    on each block.  The zeta over f_j runs at W_j = `_field_bytes(n, j)`
-    bytes per field; the blocks are widened to W_{j+1} in place before the
-    next zeta, and `fam` is rebuilt at the new width.  At most three tables
-    of blocks are alive: the level, its zeta and `fam`.
+    on each block.  Every level runs at the one width, so the member blocks,
+    `fam` and the pass masks are built once.  At most three tables of
+    blocks are alive: the level, its zeta and `fam`.
 
     Why no field ever carries or borrows:
     - A j-chain A_1 < ... < A_j inside B is fixed by sending each element
       of B to the first i with the element in A_i, or to j + 1 if none.  So
       B holds at most (j + 1)^|B| <= (j + 1)^n j-chains.
-    - f_{j+1}(B) counts some of the j-chains inside B, those of the family
-      strictly inside B (each topped by B), so it is at most (j + 1)^n.
-    - The zeta over f_j sums, at B, the j-chains whose top lies inside B,
-      and after any of its passes, in a block or across blocks, a field
-      holds a partial sum of them.  So every value at level j, before and
-      after widening, is at most (j + 1)^n < 2^(8 W_j), and no addition
-      carries.
+    - The zeta over f_j, j < k, sums at B the j-chains whose top lies
+      inside B, and after any of its passes, in a block or across blocks,
+      a field holds a partial sum of them: at most (j + 1)^n <= k^n.
+    - f_j(B), j <= k, counts j-chains with top B, each fixed by sending
+      every element of B to the first chain set that holds it, so it is at
+      most j^|B| <= k^n.
+    - k^n < 2^(8 W), so no addition carries, and no step between levels
+      changes the width.
     - zeta(f_j) - f_j is nonnegative in every field, since the zeta sum at
       B includes the term A = B, so no subtraction borrows.
-    - Widening moves whole fields into wider ones and changes no value.
     - `_count` folds f_k.  The folded total, and every partial sum on the
       way, counts distinct k-chains of the lattice, so it is at most
       (k + 1)^n < 2^(8 W_k) for W_k = `_field_bytes(n, k)`; `_count` shows
@@ -159,11 +177,12 @@ def _chains_by_top(mask: bytes | bytearray, k: int) -> tuple[list[int], int]:
     low = bits if bits < _BLOCK_BITS else _BLOCK_BITS
     nblocks = len(mask) >> low
     blocks = range(nblocks)
-    width = _field_bytes(bits, 1)
+    width = _widths(bits, k)[0]
     tops = [_members(mask[i << low : i + 1 << low], width) for i in blocks]
     ones = (1 << (width << 3)) - 1
     fam = [t * ones for t in tops]
-    for j in range(2, k + 1):
+    passes = _block_passes(low, width)
+    for _ in range(k - 1):
         zeta = tops.copy()
         step = 1
         while step < nblocks:
@@ -171,42 +190,28 @@ def _chains_by_top(mask: bytes | bytearray, k: int) -> tuple[list[int], int]:
                 if i & step:
                     zeta[i] += zeta[i ^ step]
             step <<= 1
-        passes = _block_passes(low, width)
         for i in blocks:
             tops[i] = (_zeta(zeta[i], passes) - tops[i]) & fam[i]
         del zeta
-        if j < k and (wide := _field_bytes(bits, j)) != width:
-            del fam
-            for i in blocks:
-                tops[i] = _widen(tops[i], width, wide, low)
-            width = wide
-            ones = (1 << (width << 3)) - 1
-            fam = [_members(mask[i << low : i + 1 << low], width) * ones for i in blocks]
-    return tops, width
+    return tops
 
 
 def _count(mask: bytes | bytearray, k: int) -> int:
     """Total number of strict k-chains of the family with membership `mask`.
 
-    The fold of f_k starts at the width `_chains_by_top` returns and ends at
-    W_k = `_field_bytes(n, k)`.  Summed down to 2^keep fields, field i sums
-    f_k(B) over the tops B that agree with i on the low `keep` bits.  A
-    k-chain with top B sends each element of B to the first chain set that
-    holds it, so there are at most k^|B| of them, and the sum is at most
-    k^keep * (k + 1)^(n - keep).  So the blocks are summed, and the one left
-    folded, at the narrow width while that bound fits it; every partial sum
-    of blocks is bounded by the full one.  What is left is widened to W_k,
-    which holds every partial sum from there on (see `_chains_by_top`).
+    The fold of f_k starts at the one width of `_chains_by_top` and ends at
+    W_k = `_field_bytes(n, k)`.  The blocks are summed, and the one left
+    folded, at the narrow width down to 2^keep fields (see `_widths`);
+    every partial sum of blocks is bounded by the full one.  What is left
+    is widened to W_k, which holds every partial sum from there on (see
+    `_chains_by_top`).
     """
     bits = (len(mask) - 1).bit_length()
     low = bits if bits < _BLOCK_BITS else _BLOCK_BITS
-    tops, width = _chains_by_top(mask, k)
-    wide = _field_bytes(bits, k)
+    width, wide, keep = _widths(bits, k)
+    tops = _chains_by_top(mask, k)
     if wide == width:
         return _fold(sum(tops), low, width)
-    keep = bits
-    while keep and (k ** (keep - 1) * (k + 1) ** (bits - keep + 1)).bit_length() <= width << 3:
-        keep -= 1
     if keep <= low:
         return _fold(_widen(_fold(sum(tops), low, width, keep), width, wide, keep), keep, wide)
     # the blocks i that agree on their low keep - low bits sum at the narrow width
@@ -218,8 +223,8 @@ def count_k_chains(family: Family, k: int) -> int:
     """Number of strict chains A_1 < ... < A_k with every set in the family.
 
     Packed subset-zeta dynamic program in pure Python, O(k * n) operations
-    on each block of 2^min(`_BLOCK_BITS`, n) fields; level j's fields are
-    about n * log2(j + 1) bits wide, and the final sum's n * log2(k + 1).
+    on each block of 2^min(`_BLOCK_BITS`, n) fields; every level's fields
+    are about n * log2(k) bits wide, and the final sum's n * log2(k + 1).
     The count is exact.
     """
     _check_k(k)
@@ -301,9 +306,9 @@ def count_chains_with_max_endpoint(family: Family, k: int, word: int) -> int:
 def _top_field(mask: bytes | bytearray, k: int, word: int) -> int:
     """f_k(word) of `_chains_by_top`, read from the one block that holds
     it; at n <= `_BLOCK_BITS` that is field `word` of block 0."""
-    tops, width = _chains_by_top(mask, k)
+    width = _widths((len(mask) - 1).bit_length(), k)[0]
     block, field = divmod(word, 1 << _BLOCK_BITS)
-    return _field(tops[block], width, field)
+    return _field(_chains_by_top(mask, k)[block], width, field)
 
 
 def _check_endpoint(family: Family, k: int, word: int) -> None:

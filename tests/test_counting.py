@@ -132,7 +132,7 @@ def level_formula(n, k, top_level=None):
 
 
 def test_full_lattice_count_matches_level_formula():
-    # every width step the kernel takes below n = 13, at every level
+    # every width the kernel runs at below n = 13, and every widening its fold takes
     for n in range(1, 13):
         full = Family.full(n)
         for k in range(1, n + 2):
@@ -159,9 +159,9 @@ def test_packed_zeta_matches_submask_sums_at_each_width():
 
 
 def test_widen_keeps_every_field():
-    # every (width, wide) step the kernel takes at n <= 20, between levels and
-    # before the fold; all-ones fields at the top of the table and inside it
-    # must not spill into the bytes the widening adds
+    # every (width, wide) step the fold takes at n <= 20, from the kernel's one
+    # width to the total's; all-ones fields at the top of the table and inside
+    # it must not spill into the bytes the widening adds
     steps = {
         (counting._field_bytes(n, j), counting._field_bytes(n, j + 1))
         for n in range(1, 21)
@@ -181,8 +181,31 @@ def test_widen_keeps_every_field():
             assert widened.bit_length() <= 8 * wide << bits
 
 
+def test_only_the_fold_widens(monkeypatch):
+    # every level runs at one width, so no endpoint count widens at all, and
+    # a total widens only once, from that width to the total's
+    steps = []
+
+    def widen(table, width, wide, bits):
+        steps.append((width, wide))
+        return widen_of(table, width, wide, bits)
+
+    widen_of = counting._widen
+    monkeypatch.setattr(counting, "_widen", widen)
+    for n in range(1, 13):
+        full, top = Family.full(n), (1 << n) - 1
+        for k in range(1, n + 2):
+            count_chains_with_max_endpoint(full, k, top)
+            count_chains_with_min_endpoint(full, k, 0)
+            assert steps == [], (n, k)
+            count_k_chains(full, k)
+            fold = (counting._field_bytes(n, k - 1), counting._field_bytes(n, k))
+            assert set(steps) <= {fold}, (n, k, steps)
+            steps.clear()
+
+
 # levels 1..12 are each tight at some n <= 20 and no level above 12 is; each
-# pair's k is one level, at an n where that level's width is tight
+# pair's k is one level, at an n where the width `_field_bytes(n, k)` is tight
 @pytest.mark.parametrize(
     "n, k",
     [(8, 1), (8, 2), (6, 3), (9, 4), (12, 5), (14, 6), (10, 7), (10, 8), (12, 9), (16, 10), (17, 11), (17, 12)],
@@ -191,8 +214,9 @@ def test_field_width_holds_full_lattice_counts_that_need_its_top_byte(n, k):
     # The zeta over level k of the full lattice sums, at [n], every k-chain
     # of B_n: level_formula(n, k).  Of those, f_k([n]) end at [n]; the rest,
     # with [n] put on top, are the (k+1)-chains ending at [n].  The count
-    # needs the top byte of level k's width `_field_bytes(n, k)`, so one byte
-    # less carries mid-DP; the fold to the total ends at the same width.
+    # needs the top byte of `_field_bytes(n, k)`, the one width of every
+    # level of the (k+1)-chain count, so one byte less carries mid-DP; the
+    # fold to the k-chain total ends at the same width.
     width = counting._field_bytes(n, k)
     chains = level_formula(n, k)
     assert 8 * (width - 1) < chains.bit_length() <= 8 * width
@@ -230,7 +254,7 @@ def one_block_counts():
 def test_every_block_size_gives_the_same_counts(monkeypatch, one_block_counts, block_bits):
     # a smaller block splits the table, so the passes across blocks, the
     # blockwise fold and the endpoint's block lookup all run, at every width
-    # step of n <= 12
+    # and every fold widening of n <= 12
     cases, whole = one_block_counts
     monkeypatch.setattr(counting, "_BLOCK_BITS", block_bits)
     for (fam, k, w), got, want in zip(cases, block_size_counts(cases), whole):
