@@ -104,13 +104,18 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _int_list(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated integers of an option's value; `what` names them in the error."""
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"{what} must be comma-separated integers, got {text!r}") from None
+
+
 def _parse_permutation(text: str, n: int) -> Permutation:
     from supersat.scd import Permutation
 
-    try:
-        image = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"permutation must be comma-separated integers, got {text!r}") from None
+    image = _int_list(text, "permutation")
     if len(image) != n:
         raise ValueError(f"permutation lists {len(image)} images, expected {n}")
     return Permutation(image)
@@ -151,10 +156,7 @@ def _cmd_nperm(args) -> int:
     )
     from supersat.scd import scd_inductive
 
-    try:
-        levels = tuple(int(part) for part in args.levels.split(","))
-    except ValueError:
-        raise ValueError(f"levels must be comma-separated integers, got {args.levels!r}") from None
+    levels = _int_list(args.levels, "levels")
     payload = {
         "n": args.n,
         "levels": list(levels),

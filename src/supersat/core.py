@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain, compress, count, islice, repeat, takewhile
+from itertools import chain, compress, count
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 # The chain-count kernel holds each DP level as blocks of up to 2^12 packed
@@ -423,84 +423,63 @@ def parse_family(text: str) -> Family:
     the empty set.  `#` starts a comment.  Duplicate subsets are rejected.
 
     The text is split into lines one slice at a time (`_text_slices`), so
-    the lines of only one slice are alive at once.  A line is read one of
-    two ways:
+    the lines of only one slice are alive at once.  One loop reads the body
+    lines.  Each line, trailing whitespace stripped and the suffix hi[j]
+    removed, is first looked up whole in the table of block j from
+    `_head_tables`, where j is the high half of the last word read per
+    line (0 before any).  A hit i is the word (j << h) | i: the stripped
+    line has no trailing whitespace, so if it does not end in hi[j] it
+    stays whole and is no key of tables[1], every key of which ends in a
+    space.  A hit is thus a line that `serialize_family` writes for that
+    word, trailing whitespace aside, and the per-line read takes it as
+    that word too.  A miss is read per line: each token is looked up in a
+    table of the n strings "1".."n", and a line with any other token or a
+    repeated element goes through `_line_word`, which reads leading zeros
+    and raises every format error.  Its word sets the block of the next
+    lookups.  Every word, hit or not, gets the one duplicate check, so each
+    error names the line it is on.
 
-    - Per line.  Each token is looked up in a table of the n strings
-      "1".."n"; a line with any other token or a repeated element goes
-      through `_line_word`, which reads leading zeros and raises every
-      format error.  Only this path reads comments and tokens out of order
-      or zero-padded, and only this path raises.
-    - Whole-line lookup.  After a line read per line whose word has high
-      half j, the following lines of the slice, trailing whitespace
-      stripped and the suffix hi[j] removed, are looked up in the table of
-      block j from `_head_tables`, at C level up to the first miss.  A hit
-      is a line that `serialize_family` writes for a word of block j, which
-      the per-line path reads as that word.  The run of hits is taken when
-      its words are distinct and not yet members, as the per-line path
-      would take them; otherwise its lines are read per line, which raises
-      at the first duplicate.
-
-    A file in `serialize_family`'s order is so read one block at a time:
-    one line per line, then the rest of the block by lookup.  Where the
-    next line is no hit, m times in a row, the next m lines are read per
-    line without a lookup, so a file whose neighbouring lines seldom share
-    a high half costs little more than a per-line read.
+    A file in `serialize_family`'s order is so read with about one
+    per-line read per block and a lookup for every other line; in a file
+    whose neighbouring lines seldom share a block nearly every line pays a
+    failed lookup on top of its per-line read.
     """
     mask = None
     start = 0  # the lines of the slices before this one
     for lines in map(str.splitlines, _text_slices(text)):
-        end = len(lines)
-        numbered = enumerate(lines, start=1)  # (index of the next line, line)
+        numbered = enumerate(lines, start=start + 1)
         if mask is None:
-            for pos, raw in numbered:
+            for lineno, raw in numbered:
                 line = raw.split("#", 1)[0].strip()
                 if line:
-                    n = _header_size(line, start + pos)
+                    n = _header_size(line, lineno)
                     bit_of = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__
                     h, hi, tables = _head_tables(n)
+                    table, suffix, base = tables[0], "", 0
                     mask = bytearray(1 << n)
                     break
-        plain = misses = 0  # the lines before index `plain` are read per line only
-        for pos, raw in numbered:
-            if "#" in raw:
-                raw = raw.split("#", 1)[0]
-            parts = raw.split()
-            if not parts:
-                continue
-            try:
-                word = sum(map(bit_of, parts))
-            except KeyError:
-                word = _line_word(parts, start + pos, n)
+        for lineno, raw in numbered:
+            i = table.get(raw.rstrip().removesuffix(suffix))
+            if i is not None:
+                word = base | i
             else:
-                # distinct bits add without carries, so a repeat loses a bit
-                if word.bit_count() != len(parts):
-                    word = _line_word(parts, start + pos, n)
+                parts = raw.split("#", 1)[0].split() if "#" in raw else raw.split()
+                if not parts:
+                    continue
+                try:
+                    word = sum(map(bit_of, parts))
+                except KeyError:
+                    word = _line_word(parts, lineno, n)
+                else:
+                    # distinct bits add without carries, so a repeat loses a bit
+                    if word.bit_count() != len(parts):
+                        word = _line_word(parts, lineno, n)
+                j = word >> h
+                table, suffix, base = tables[j > 0], hi[j], j << h
             if mask[word]:
-                raise DuplicateSubset(f"line {start + pos}: duplicate subset {format_word(word)!r}")
+                raise DuplicateSubset(f"line {lineno}: duplicate subset {format_word(word)!r}")
             mask[word] = 1
-            if pos <= plain or pos == end:
-                continue
-            j = word >> h
-            table = tables[j > 0]
-            if lines[pos].removesuffix(hi[j]) not in table:
-                misses += 1
-                plain = pos + misses
-                continue
-            misses = 0
-            lookup = map(str.removesuffix, map(str.rstrip, map(lines.__getitem__, range(pos, end))), repeat(hi[j]))
-            run = list(takewhile((-1).__lt__, map(table.get, lookup, repeat(-1))))
-            del lookup  # it holds `lines`
-            block = mask[j << h : (j + 1) << h]
-            had = block.count(1)
-            for i in run:
-                block[i] = 1
-            if run and block.count(1) == had + len(run):  # distinct new members
-                mask[j << h : (j + 1) << h] = block
-                next(islice(numbered, len(run) - 1, None))  # skip the run's lines
-            else:
-                plain = pos + len(run)
-        start += end
+        start += len(lines)
         del lines, numbered  # before the next slice is split
     if mask is None:
         raise MissingHeader("missing `n=<int>` header")

@@ -181,6 +181,23 @@ def test_yz_products():
         assert yz(n, (0, n)) == (1, 1)
 
 
+@pytest.mark.parametrize("form", [yz, n_permutations_factorial, n_permutations_ratio])
+@pytest.mark.parametrize(
+    "levels, message",
+    [
+        ((), "at least one level is required"),
+        ((-1, 2), "levels must lie in [0, 4]: (-1, 2)"),
+        ((1, 5), "levels must lie in [0, 4]: (1, 5)"),
+        ((2, 2), "levels must be strictly increasing: (2, 2)"),
+    ],
+)
+def test_level_forms_reject_bad_levels(form, levels, message):
+    # each form checks its levels through `_check_levels`, and a list is read as a tuple
+    with pytest.raises(ValueError) as info:
+        form(4, list(levels))
+    assert str(info.value) == message
+
+
 def test_yz_depends_only_on_base_and_difference_multiset():
     for n in range(2, 9):
         groups = {}

@@ -274,6 +274,24 @@ def test_nperm_rejects_bad_levels(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("scd", "--n", "3", "--permute", "1,x,2"),
+            "permutation must be comma-separated integers, got '1,x,2'",
+        ),
+        (("scd", "--n", "3", "--permute", "2,1"), "permutation lists 2 images, expected 3"),
+        (("scd", "--n", "3", "--permute", "1,2,3,4"), "permutation lists 4 images, expected 3"),
+        (("nperm", "--n", "4", "--levels", "x"), "levels must be comma-separated integers, got 'x'"),
+        (("nperm", "--n", "4", "--levels", "1,,2"), "levels must be comma-separated integers, got '1,,2'"),
+    ],
+)
+def test_comma_separated_options_reject_bad_lists(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 def test_oracle_exact_payload(capsys):
     payload = run_json(capsys, "oracle", "--n", "4", "--k", "2", "--size", "7")
     assert payload["min_count"] == 3

@@ -2,10 +2,12 @@ from itertools import combinations
 
 import pytest
 
-from supersat.core import Family, binom, level_words, sigma
+from supersat import oracle
+from supersat.core import Family, binom, level, level_words, sigma
 from supersat.counting import _pass_masks, _zeta, count_k_chains, count_k_chains_naive
 from supersat.bounds import supersat_bound, tight_x_max, build_extremal_family
 from supersat.oracle import (
+    _anneal,
     _exact_table,
     centered_family,
     construction_count,
@@ -272,6 +274,37 @@ def test_heuristic_witness_recounts_and_never_beats_exact():
 def test_heuristic_rejects_large_n():
     with pytest.raises(ValueError):
         min_chain_count_heuristic(11, 2, 10)
+
+
+def test_searches_reject_negative_iterations():
+    with pytest.raises(ValueError, match="^iterations must be nonnegative$"):
+        min_chain_count_heuristic(4, 2, 7, iterations=-1)
+    with pytest.raises(ValueError, match="^iterations must be nonnegative$"):
+        kleitman_report(4, 2, iterations=-1)
+
+
+def _level_ordered(n, m):
+    """The first m subsets of [n] by size, then by word: the lowest rows filled first."""
+    return Family.from_words(n, sorted(range(1 << n), key=lambda w: (level(w), w))[:m])
+
+
+def test_anneal_improves_a_level_ordered_start(monkeypatch):
+    # the other tests start every walk at the construction, which it never
+    # beats; the rows 0..2 of [6] hold 51 two-chains, and 22 sets can hold as few as 8
+    start = _level_ordered(6, 22)
+    assert count_k_chains(start, 2) == 51
+    count, fam = _anneal(2, start, 51, seed=0, iterations=2000)
+    assert count == supersat_bound(6, 2, 2) == 8
+    assert count == count_k_chains(fam, 2) and fam.size() == 22
+    # 20 sets fit in an antichain, so the walk can reach 0 and stops there
+    calls = []
+    counter = oracle._count
+    monkeypatch.setattr(oracle, "_count", lambda mask, k: calls.append(k) or counter(mask, k))
+    start = _level_ordered(6, 20)
+    assert count_k_chains(start, 2) == 45
+    count, fam = _anneal(2, start, 45, seed=0, iterations=2000)
+    assert count == 0 == count_k_chains(fam, 2) and fam.size() == 20
+    assert 0 < len(calls) < 2000
 
 
 def test_kleitman_report_pairs_all_sizes_equal():

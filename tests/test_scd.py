@@ -136,6 +136,11 @@ def test_permute_size_mismatch():
         permute_decomposition(scd_inductive(3), Permutation.identity(4))
 
 
+def test_compose_size_mismatch():
+    with pytest.raises(ValueError, match="^permutation size mismatch$"):
+        Permutation.identity(3).compose(Permutation.identity(4))
+
+
 def test_all_permuted_images_distinct_n3():
     dec = scd_inductive(3)
     images = [
