@@ -123,12 +123,15 @@ def _parse_permutation(text: str, n: int) -> Permutation:
 
 def _cmd_scd(args) -> int:
     from supersat.core import _word_formatter
-    from supersat.scd import permute_decomposition, scd_inductive, validate_scd
+    from supersat.scd import Decomposition, _scd_chains, permute_decomposition, validate_scd
 
-    dec = scd_inductive(args.n)
+    # the plain dump writes each chain as it is made; --permute and --validate hold them all
+    chains = _scd_chains(args.n)
     if args.permute:
-        dec = permute_decomposition(dec, _parse_permutation(args.permute, args.n))
+        perm = _parse_permutation(args.permute, args.n)
+        chains = permute_decomposition(Decomposition(args.n, tuple(chains)), perm).chains
     if args.validate:
+        dec = Decomposition(args.n, tuple(chains))
         report = validate_scd(dec)
         _emit(
             {
@@ -142,8 +145,7 @@ def _cmd_scd(args) -> int:
         )
         return EXIT_OK
     name = _word_formatter(args.n)
-    for chain in dec.chains:
-        sys.stdout.write(" -> ".join(map(name, chain)) + "\n")
+    sys.stdout.writelines(" -> ".join(map(name, chain)) + "\n" for chain in chains)
     return EXIT_OK
 
 

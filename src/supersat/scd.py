@@ -1,14 +1,14 @@
-"""Symmetric chain decompositions of the subset lattice: the inductive
-construction (which the bracket-matching rule reproduces), the per-word
-bracket-matching chain, validation, and the permutation action on
+"""Symmetric chain decompositions of the subset lattice: one bracket
+matcher that builds the decomposition in output order and the chain
+through any one word, validation, and the permutation action on
 decompositions."""
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress, count, repeat
-from operator import and_, contains
-from typing import Iterable, NamedTuple, Sequence
+from itertools import accumulate, compress, count, repeat
+from operator import and_, contains, or_
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from supersat.core import _Value, binom, check_ground_set, check_word
 
@@ -33,10 +33,14 @@ class Permutation(_Value):
     _fields = ("image",)
     image: tuple[int, ...]
 
-    def __init__(self, image: tuple[int, ...]):
+    def __init__(self, image: Iterable[int]):
+        # a tuple of plain ints, so that no alias can change it and it hashes
+        image = tuple(image)
         n = len(image)
         check_ground_set(n)
-        if sorted(image) != list(range(1, n + 1)):
+        # a float or bool image would pass the sort but not `apply_to_word`
+        ints = all(isinstance(i, int) and not isinstance(i, bool) for i in image)
+        if not ints or sorted(image) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of [1, {n}]: {image}")
         self._set(image)
 
@@ -91,11 +95,11 @@ class Decomposition(_Value):
         """The checked constructor: every chain nonempty and every word a
         subset of [n] (`_in_ground_set`), chains sorted by `_chain_order`.
 
-        `scd_inductive` calls the class directly: its chains add bits below
-        n to words of [n - 1], and sorting them by first word gives the same
-        key on its ascending chains.  `permute_decomposition` applies the
-        same test to each chain it maps, and sorts by `_chain_order` itself.
-        The tests pin both against this constructor.
+        `scd_inductive` calls the class directly: `_scd_chains` makes words
+        of [n] only, on ascending chains, already in `_chain_order`.
+        `permute_decomposition` applies the same test to each chain it maps,
+        and sorts by `_chain_order` itself.  The tests pin both against this
+        constructor.
         """
         check_ground_set(n)
         canon = [tuple(ch) for ch in chains]
@@ -106,62 +110,90 @@ class Decomposition(_Value):
         return cls(n, tuple(canon))
 
 
-def scd_inductive(n: int) -> Decomposition:
-    """Symmetric chain decomposition built by adding one element at a time.
+def _brackets(word: int, bits: int) -> tuple[list[int], list[int]]:
+    """(closers, openers): the bits of the unmatched ')' and of the
+    unmatched '(' among the low `bits` positions of `word`, each ascending.
 
-    Each chain (S_m, ..., S_t) of the smaller decomposition becomes
-    (S_m, ..., S_t, S_t + new) and, when it has at least two sets,
-    (S_m + new, ..., S_{t-1} + new).
+    Position i reads ')' when bit i is set and '(' when it is clear, and
+    brackets match the usual nested way, so the unmatched positions read
+    ")..)(..(" left to right.
+    """
+    closers: list[int] = []
+    openers: list[int] = []
+    for bit in map((1).__lshift__, range(bits)):
+        if not word & bit:
+            openers.append(bit)
+        elif openers:
+            openers.pop()
+        else:
+            closers.append(bit)
+    return closers, openers
+
+
+def _scd_chains(n: int) -> Iterator[Chain]:
+    """The chains of the bracket-matching decomposition of [n], one at a
+    time and already in `_chain_order`.
+
+    A chain starts at its one word with no unmatched ')'.  Split a word as
+    (hi << h) | lo with h = ceil(n / 2), as `permute_decomposition` does,
+    and match each half once.  The c unmatched ')' of hi match the last c
+    unmatched '(' of lo, and lo has h - 2|lo| of those when it has no
+    unmatched ')' itself.  So the word starts a chain iff lo has no
+    unmatched ')' and c <= h - 2|lo|; the chain then sets, one a step, the
+    first h - 2|lo| - c unmatched '(' of lo and then those of hi.  The
+    starts of one level, hi ascending and then lo ascending, ascend as
+    words, so the chains come by level and then by least word, unsorted.
+
+    Like `core.level_words`, it checks n when called, not when the chains
+    are first read.
     """
     check_ground_set(n)
-    chains: list[Chain] = [(0, 1)]
-    for m in range(2, n + 1):
-        bit = 1 << (m - 1)
-        grown: list[Chain] = []
-        for ch in chains:
-            grown.append(ch + (ch[-1] | bit,))
-            if len(ch) >= 2:
-                grown.append(tuple(w | bit for w in ch[:-1]))
-        chains = grown
-    # every chain ascends, so its first word holds both parts of `_chain_order`
-    chains.sort(key=lambda ch: (ch[0].bit_count(), ch[0]))
-    return Decomposition(n, tuple(chains))
+    h = (n + 1) // 2
+    # lows[a]: (lo, its unmatched '(') for the lo of popcount a with no unmatched ')', ascending
+    lows: list[list[tuple[int, list[int]]]] = [[] for _ in range(h + 1)]
+    for lo, (closers, openers) in enumerate(map(_brackets, range(1 << h), repeat(h))):
+        if not closers:
+            lows[lo.bit_count()].append((lo, openers))
+    highs = [(hi.bit_count(), hi << h, len(closers), [bit << h for bit in openers])
+             for hi, (closers, openers) in enumerate(map(_brackets, range(1 << (n - h)), repeat(n - h)))]
+    # a start at level v <= n/2 has a = v - b bits in lo and keeps all but c of its h - 2a '('
+    return (tuple(accumulate(lo_open[:len(lo_open) - c] + hi_open, or_, initial=head | lo))
+            for v in range(n // 2 + 1) for b, head, c, hi_open in highs
+            if b <= v and 2 * (v - b) + c <= h for lo, lo_open in lows[v - b])
+
+
+def scd_inductive(n: int) -> Decomposition:
+    """Symmetric chain decomposition of de Bruijn, van Ebbenhorst Tengbergen
+    and Kruyswijk (1951), which adds one element at a time: each chain
+    (S_m, ..., S_t) over [n - 1] becomes (S_m, ..., S_t, S_t + n) and, when
+    it has at least two sets, (S_m + n, ..., S_{t-1} + n).
+
+    The bracket rule gives the same chains (the proof is in
+    `scd_bracketing`), so they are made by `_scd_chains`, in order.
+    """
+    return Decomposition(n, tuple(_scd_chains(n)))
 
 
 def bracketing_chain_of(n: int, word: int) -> Chain:
     """The full chain through `word` in the bracket-matching decomposition.
 
-    Read position i as ')' when i is in the subset and '(' otherwise, match
-    brackets the usual nested way, then sweep the unmatched positions (which
-    always read ")..)(..(" left to right) through every ")^j (^(u-j)"
-    pattern while matched positions stay fixed.
+    Match the brackets of `word` (`_brackets`); the chain keeps the matched
+    positions as they are and, starting from the word with every unmatched
+    position clear, sets the unmatched positions one a step in ascending
+    order.  It reads one word, and is the per-word oracle for the chains
+    `_scd_chains` makes.
     """
     check_ground_set(n)
     check_word(word, n)
-    stack: list[int] = []
-    closers: list[int] = []
-    for i in range(n):
-        if (word >> i) & 1:
-            if stack:
-                stack.pop()
-            else:
-                closers.append(i)
-        else:
-            stack.append(i)
-    base = word
-    for pos in closers:
-        base &= ~(1 << pos)
-    chain = [base]
-    w = base
-    for pos in closers + stack:  # unmatched positions in ascending order
-        w |= 1 << pos
-        chain.append(w)
-    return tuple(chain)
+    closers, openers = _brackets(word, n)
+    return tuple(accumulate(closers + openers, or_, initial=word - sum(closers)))
 
 
 def scd_bracketing(n: int) -> Decomposition:
-    """Symmetric chain decomposition from the bracket-matching rule; it is
-    the decomposition `scd_inductive` builds, so it is built that way.
+    """Symmetric chain decomposition from the bracket-matching rule of
+    Greene and Kleitman (1976).  It is the decomposition `scd_inductive`
+    names, and the proof below is why `scd_inductive` may build it by this
+    rule.
 
     Why the rules agree, by induction on n.  Read element i as ')' when
     present and '(' when absent, and add element m as the rightmost bracket
@@ -172,7 +204,8 @@ def scd_bracketing(n: int) -> Decomposition:
     S_{t-1} + m): the second child.  Otherwise S = S_t, the ')' stays
     unmatched and S + m = S_t + m lies on the first child.  At n = 1 both
     rules give the chain (empty, {1}).  `bracketing_chain_of` applies the
-    rule word by word and is the oracle this is checked against.
+    rule word by word; the tests keep the doubling rule as the oracle that
+    shares no code with either.
     """
     return scd_inductive(n)
 

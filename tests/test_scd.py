@@ -9,6 +9,7 @@ from supersat.scd import (
     Permutation,
     ScdValidation,
     _first_chains,
+    _scd_chains,
     bracketing_chain_of,
     chain_through,
     permute_decomposition,
@@ -16,6 +17,22 @@ from supersat.scd import (
     scd_inductive,
     validate_scd,
 )
+
+
+def doubling_scd(n):
+    """The inductive SCD by doubling: over [m], each chain (S_0, ..., S_t)
+    of [m - 1] becomes (S_0, ..., S_t, S_t + m) and, when t >= 1, (S_0 + m,
+    ..., S_{t-1} + m).  The chains ascend, so sorting them by first word is
+    `_chain_order`."""
+    chains = [(0, 1)]
+    for bit in (1 << m for m in range(1, n)):
+        grown = []
+        for ch in chains:
+            grown.append(ch + (ch[-1] | bit,))
+            if len(ch) >= 2:
+                grown.append(tuple(w | bit for w in ch[:-1]))
+        chains = grown
+    return tuple(sorted(chains, key=lambda ch: (ch[0].bit_count(), ch[0])))
 
 
 def test_inductive_base_case():
@@ -36,6 +53,19 @@ def test_inductive_valid_through_n10():
     for n in range(1, 11):
         report = validate_scd(scd_inductive(n))
         assert report.ok, (n, report.problems)
+
+
+def test_scd_inductive_equals_the_doubling_rule():
+    # the bracket stream against an oracle that shares no code with it
+    for n in range(1, 15):
+        assert scd_inductive(n).chains == doubling_scd(n), n
+
+
+def test_scd_chains_checks_n_when_called():
+    # before any chain is read, as `level_words` does
+    for n in (0, 21, True):
+        with pytest.raises(ValueError, match="ground-set size must be an integer"):
+            _scd_chains(n)
 
 
 def test_bracketing_chain_of_singleton():
@@ -123,6 +153,27 @@ def test_permutation_validation_and_action():
     assert swap.apply_to_word(0b001) == 0b010
     assert swap.apply_to_word(0b011) == 0b011
     assert tuple(swap.apply_to_word(w) for w in (0, 1, 3)) == (0, 2, 3)
+
+
+def test_permutation_rejects_float_images():
+    # (1.0, 2.0) sorts like (1, 2), but `apply_to_word` cannot shift by a float
+    with pytest.raises(ValueError, match="not a bijection"):
+        Permutation((1.0, 2.0))
+
+
+def test_permutation_rejects_bool_images():
+    # True sorts as 1, so (2, True) would pass for (2, 1)
+    with pytest.raises(ValueError, match="not a bijection"):
+        Permutation((2, True))
+
+
+def test_permutation_keeps_its_own_tuple():
+    # a list image is copied: no alias changes the value, and it hashes
+    image = [2, 1]
+    perm = Permutation(image)
+    image[0] = 1
+    assert perm.image == (2, 1) and perm == Permutation((2, 1))
+    assert hash(perm) == hash(Permutation((2, 1)))
 
 
 def test_permute_identity_returns_equal_decomposition():
