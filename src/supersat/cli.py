@@ -123,15 +123,15 @@ def _parse_permutation(text: str, n: int) -> Permutation:
 
 def _cmd_scd(args) -> int:
     from supersat.core import _word_formatter
-    from supersat.scd import Decomposition, _scd_chains, permute_decomposition, validate_scd
+    from supersat.scd import Decomposition, _permuted, _scd_chains, validate_scd
 
-    # the plain dump writes each chain as it is made; --permute and --validate hold them all
+    # the plain dump writes each chain as it is made; --permute maps them as
+    # they are made and holds only their images; --validate holds them all
     chains = _scd_chains(args.n)
     if args.permute:
-        perm = _parse_permutation(args.permute, args.n)
-        chains = permute_decomposition(Decomposition(args.n, tuple(chains)), perm).chains
+        chains = _permuted(chains, _parse_permutation(args.permute, args.n))
     if args.validate:
-        dec = Decomposition(args.n, tuple(chains))
+        dec = Decomposition(args.n, chains)
         report = validate_scd(dec)
         _emit(
             {

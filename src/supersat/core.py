@@ -422,8 +422,10 @@ def parse_family(text: str) -> Family:
     as space-separated decimal elements of [1, n] (any order) or `-` for
     the empty set.  `#` starts a comment.  Duplicate subsets are rejected.
 
-    The text is split into lines one slice at a time (`_text_slices`), so
-    the lines of only one slice are alive at once.  One loop reads the body
+    The lines are one numbered stream: the slices of `_text_slices`, each
+    split into lines only when `chain` has used up the one before, so the
+    lines of only one slice are alive at once.  The header search reads the
+    stream up to the header, and one loop reads the rest of it as body
     lines.  Each line, trailing whitespace stripped and the suffix hi[j]
     removed, is first looked up whole in the table of block j from
     `_head_tables`, where j is the high half of the last word read per
@@ -444,45 +446,39 @@ def parse_family(text: str) -> Family:
     whose neighbouring lines seldom share a block nearly every line pays a
     failed lookup on top of its per-line read.
     """
-    mask = None
-    start = 0  # the lines of the slices before this one
-    for lines in map(str.splitlines, _text_slices(text)):
-        numbered = enumerate(lines, start=start + 1)
-        if mask is None:
-            for lineno, raw in numbered:
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    n = _header_size(line, lineno)
-                    bit_of = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__
-                    h, hi, tables = _head_tables(n)
-                    table, suffix, base = tables[0], "", 0
-                    mask = bytearray(1 << n)
-                    break
-        for lineno, raw in numbered:
-            i = table.get(raw.rstrip().removesuffix(suffix))
-            if i is not None:
-                word = base | i
-            else:
-                parts = raw.split("#", 1)[0].split() if "#" in raw else raw.split()
-                if not parts:
-                    continue
-                try:
-                    word = sum(map(bit_of, parts))
-                except KeyError:
-                    word = _line_word(parts, lineno, n)
-                else:
-                    # distinct bits add without carries, so a repeat loses a bit
-                    if word.bit_count() != len(parts):
-                        word = _line_word(parts, lineno, n)
-                j = word >> h
-                table, suffix, base = tables[j > 0], hi[j], j << h
-            if mask[word]:
-                raise DuplicateSubset(f"line {lineno}: duplicate subset {format_word(word)!r}")
-            mask[word] = 1
-        start += len(lines)
-        del lines, numbered  # before the next slice is split
-    if mask is None:
+    numbered = enumerate(chain.from_iterable(map(str.splitlines, _text_slices(text))), start=1)
+    for lineno, raw in numbered:
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            n = _header_size(line, lineno)
+            break
+    else:
         raise MissingHeader("missing `n=<int>` header")
+    bit_of = {str(e): 1 << (e - 1) for e in range(1, n + 1)}.__getitem__
+    h, hi, tables = _head_tables(n)
+    table, suffix, base = tables[0], "", 0
+    mask = bytearray(1 << n)
+    for lineno, raw in numbered:
+        i = table.get(raw.rstrip().removesuffix(suffix))
+        if i is not None:
+            word = base | i
+        else:
+            parts = raw.split("#", 1)[0].split() if "#" in raw else raw.split()
+            if not parts:
+                continue
+            try:
+                word = sum(map(bit_of, parts))
+            except KeyError:
+                word = _line_word(parts, lineno, n)
+            else:
+                # distinct bits add without carries, so a repeat loses a bit
+                if word.bit_count() != len(parts):
+                    word = _line_word(parts, lineno, n)
+            j = word >> h
+            table, suffix, base = tables[j > 0], hi[j], j << h
+        if mask[word]:
+            raise DuplicateSubset(f"line {lineno}: duplicate subset {format_word(word)!r}")
+        mask[word] = 1
     return Family(n, bytes(mask))
 
 

@@ -75,20 +75,23 @@ class Permutation(_Value):
 class Decomposition(_Value):
     """Chains covering the subset lattice: `n` and `chains`, nothing else.
 
-    `__init__` checks `n` and stores the chains as given; `from_chains` also
-    checks the words and canonicalizes chain order.  Neither requires the
-    chains to form a valid SCD; `validate_scd` reports that, so deliberately
-    broken decompositions can be represented in tests.  A word is looked up
-    by reading the chains (`chain_through`).
+    `__init__` checks `n` and stores the chains, from any iterable of
+    iterables of words, as a tuple of tuples, so no alias of the caller's
+    can change them and the decomposition hashes; `tuple()` of a tuple is
+    that tuple, so a chain given as a tuple is not copied.  `from_chains`
+    also checks the words and canonicalizes chain order.  Neither requires
+    the chains to form a valid SCD; `validate_scd` reports that, so
+    deliberately broken decompositions can be represented in tests.  A word
+    is looked up by reading the chains (`chain_through`).
     """
 
     _fields = ("n", "chains")
     n: int
     chains: tuple[Chain, ...]
 
-    def __init__(self, n: int, chains: tuple[Chain, ...]):
+    def __init__(self, n: int, chains: Iterable[Iterable[int]]):
         check_ground_set(n)
-        self._set(n, chains)
+        self._set(n, tuple(map(tuple, chains)))
 
     @classmethod
     def from_chains(cls, n: int, chains: Iterable[Sequence[int]]) -> "Decomposition":
@@ -97,8 +100,8 @@ class Decomposition(_Value):
 
         `scd_inductive` calls the class directly: `_scd_chains` makes words
         of [n] only, on ascending chains, already in `_chain_order`.
-        `permute_decomposition` applies the same test to each chain it maps,
-        and sorts by `_chain_order` itself.  The tests pin both against this
+        `_permuted` applies the same test to each chain it maps, and sorts
+        by `_chain_order` itself.  The tests pin both against this
         constructor.
         """
         check_ground_set(n)
@@ -107,7 +110,7 @@ class Decomposition(_Value):
             if not _in_ground_set(ch, n):
                 raise ValueError(f"chain {idx} is empty or holds a word outside [{n}]")
         canon.sort(key=_chain_order)
-        return cls(n, tuple(canon))
+        return cls(n, canon)
 
 
 def _brackets(word: int, bits: int) -> tuple[list[int], list[int]]:
@@ -135,7 +138,7 @@ def _scd_chains(n: int) -> Iterator[Chain]:
     time and already in `_chain_order`.
 
     A chain starts at its one word with no unmatched ')'.  Split a word as
-    (hi << h) | lo with h = ceil(n / 2), as `permute_decomposition` does,
+    (hi << h) | lo with h = ceil(n / 2), as `_permuted` does,
     and match each half once.  The c unmatched ')' of hi match the last c
     unmatched '(' of lo, and lo has h - 2|lo| of those when it has no
     unmatched ')' itself.  So the word starts a chain iff lo has no
@@ -171,7 +174,7 @@ def scd_inductive(n: int) -> Decomposition:
     The bracket rule gives the same chains (the proof is in
     `scd_bracketing`), so they are made by `_scd_chains`, in order.
     """
-    return Decomposition(n, tuple(_scd_chains(n)))
+    return Decomposition(n, _scd_chains(n))
 
 
 def bracketing_chain_of(n: int, word: int) -> Chain:
@@ -293,20 +296,30 @@ def _first_repeat(dec: Decomposition) -> tuple[int, int] | None:
 
 
 def permute_decomposition(dec: Decomposition, perm: Permutation) -> Decomposition:
-    """Apply the permutation to every set of every chain.
+    """Apply the permutation to every set of every chain: the chains of
+    `_permuted`, in `_chain_order`.  A permutation of another ground set
+    raises `ValueError`."""
+    if perm.n != dec.n:
+        raise ValueError(f"permutation acts on [{perm.n}] but decomposition is over [{dec.n}]")
+    return Decomposition(dec.n, _permuted(dec.chains, perm))
 
-    A word w maps to lo[w & (2^h - 1)] | hi[w >> h] with h = ceil(n / 2):
-    lo holds the images of the 2^h words of elements 1..h and hi those of
-    elements h+1..n, each table grown by doubling as in `core._line_heads`.
-    Two half tables take 2^h + 2^(n-h) ints where one of all 2^n words
-    would raise the peak memory at n = 20.  `Permutation.apply_to_word`
-    is the per-word reference the tests compare against.  A chain that is
-    empty or holds a word outside [n] raises `ValueError`, since a negative
-    word would wrap through hi[-1] to a valid image.
+
+def _permuted(chains: Iterable[Chain], perm: Permutation) -> list[Chain]:
+    """The images of the chains under the permutation, in `_chain_order`.
+
+    It reads the chains once, as they come, so `scd --permute` maps the
+    chains of `_scd_chains` without holding the input decomposition.  A
+    word w maps to lo[w & (2^h - 1)] | hi[w >> h] with h = ceil(n / 2): lo
+    holds the images of the 2^h words of elements 1..h and hi those of
+    elements h+1..n, each table grown by doubling as in
+    `core._line_heads`.  Two half tables take 2^h + 2^(n-h) ints where one
+    of all 2^n words would raise the peak memory at n = 20.
+    `Permutation.apply_to_word` is the per-word reference the tests compare
+    against.  A chain that is empty or holds a word outside [n] raises
+    `ValueError`, since a negative word would wrap through hi[-1] to a
+    valid image.
     """
-    n = dec.n
-    if perm.n != n:
-        raise ValueError(f"permutation acts on [{perm.n}] but decomposition is over [{n}]")
+    n = perm.n
     h = (n + 1) // 2
     tables = []
     for elements in (range(h), range(h, n)):
@@ -318,13 +331,13 @@ def permute_decomposition(dec: Decomposition, perm: Permutation) -> Decompositio
         tables.append(images)
     lo, hi = tables
     low = (1 << h) - 1
-    chains = []
-    for idx, ch in enumerate(dec.chains):
+    mapped = []
+    for idx, ch in enumerate(chains):
         if not _in_ground_set(ch, n):
             raise ValueError(f"chain {idx} is empty or holds a word outside [{n}]")
-        chains.append(tuple([lo[w & low] | hi[w >> h] for w in ch]))
-    chains.sort(key=_chain_order)
-    return Decomposition(n, tuple(chains))
+        mapped.append(tuple([lo[w & low] | hi[w >> h] for w in ch]))
+    mapped.sort(key=_chain_order)
+    return mapped
 
 
 def chain_through(dec: Decomposition, word: int) -> tuple[int, int]:

@@ -236,7 +236,8 @@ def test_nperm_payload(capsys):
 
 def test_scd_dump_never_builds_the_locator(capsys, monkeypatch):
     # the plain dump writes the chains as they are made and builds no
-    # `Decomposition` at all; `--validate` builds one and reads its chains
+    # `Decomposition` at all, nor does `--permute`, which maps them as they
+    # are made; `--validate` builds one and reads its chains
     import supersat.scd
     from supersat.scd import Decomposition
 
@@ -258,6 +259,14 @@ def test_scd_dump_never_builds_the_locator(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "scd", "--n", "12", "--validate")
     assert code == 0 and json.loads(out)["checks"]["locator"] is True
     assert len(built) == 1 and set(vars(built[0])) == {"n", "chains"}
+    rotation = ",".join(map(str, [*range(2, 13), 1]))
+    built.clear()
+    code, out, _ = run_cli(capsys, "scd", "--n", "12", "--permute", rotation)
+    assert code == 0 and len(out.splitlines()) == binom(12, 6)
+    assert built == []
+    code, out, _ = run_cli(capsys, "scd", "--n", "12", "--permute", rotation, "--validate")
+    assert code == 0 and json.loads(out)["valid"] is True
+    assert len(built) == 1
 
 
 def test_nperm_enumerate_rejects_large_n_before_building_the_scd(capsys, monkeypatch):

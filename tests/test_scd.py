@@ -9,6 +9,7 @@ from supersat.scd import (
     Permutation,
     ScdValidation,
     _first_chains,
+    _permuted,
     _scd_chains,
     bracketing_chain_of,
     chain_through,
@@ -360,6 +361,20 @@ def test_permute_matches_the_per_word_reference():
             rng.shuffle(image)
             perm = Permutation(tuple(image))
             assert permute_decomposition(dec, perm) == per_word_image(dec, perm), (n, image)
+
+
+def test_the_mapper_reads_a_one_shot_chain_stream():
+    # `scd --permute` maps the chains as `_scd_chains` makes them, so the
+    # mapper must read each chain once; every permutation for n <= 4, and
+    # both rotations at n = 9 and 10, whose half tables split 5 + 4 and 5 + 5
+    cases = [(n, image) for n in range(1, 5) for image in permutations(range(1, n + 1))]
+    for n in (9, 10):
+        cases += [(n, (*range(2, n + 1), 1)), (n, (n, *range(1, n)))]
+    for n, image in cases:
+        dec, perm = scd_inductive(n), Permutation(image)
+        mapped = _permuted(iter(dec.chains), perm)
+        assert tuple(mapped) == permute_decomposition(dec, perm).chains, (n, image)
+        assert tuple(mapped) == per_word_image(dec, perm).chains, (n, image)
 
 
 def test_permute_keeps_the_checked_order_on_non_ascending_chains():

@@ -2,12 +2,13 @@
 `Decomposition`) and the field layout of the result records."""
 
 import copy
+import operator
 import pickle
 
 import pytest
 
 from supersat.bounds import BoundReport, MinMaxYZReport, bound_report, min_max_yz_verification
-from supersat.core import Family, build_b_family
+from supersat.core import Family, binom, build_b_family
 from supersat.oracle import KleitmanRow, OracleResult, min_chain_count_exact
 from supersat.scd import (
     Decomposition,
@@ -79,9 +80,31 @@ def test_a_value_equals_only_its_own_class(value):
 
 
 def test_a_family_is_unequal_to_a_decomposition_with_the_same_fields():
-    # a decomposition is not validated, so it can hold a family's n and mask
+    # a decomposition is not validated, so it can hold a family's n and,
+    # one word a chain, its members; the two classes still never compare equal
     fam = build_b_family(3, 2)
-    assert Decomposition(fam.n, fam.mask) != fam and fam != Decomposition(fam.n, fam.mask)
+    dec = Decomposition(fam.n, ((w,) for w in fam.words()))
+    assert dec.chains == tuple((w,) for w in fam.words())
+    assert dec != fam and fam != dec
+
+
+def test_a_decomposition_owns_its_chains_given_as_lists():
+    chains = [[0, 1, 3], [2]]
+    dec = Decomposition(2, chains)
+    assert dec.chains == ((0, 1, 3), (2,)) and all(type(ch) is tuple for ch in dec.chains)
+    assert dec == scd_inductive(2) and hash(dec) == hash(scd_inductive(2))
+    # no alias of the caller's list, or of a chain in it, reaches the value
+    chains.append([5])
+    chains[0].append(7)
+    assert dec == scd_inductive(2) and validate_scd(dec).ok
+
+
+def test_a_decomposition_stores_a_generator_whole():
+    chains = scd_inductive(6).chains
+    dec = Decomposition(6, (ch for ch in chains))
+    assert len(dec.chains) == binom(6, 3) and validate_scd(dec).ok
+    # a chain given as a tuple is kept, not copied
+    assert all(map(operator.is_, dec.chains, chains))
 
 
 def test_assignment_and_deletion_raise(value):
