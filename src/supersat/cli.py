@@ -59,10 +59,20 @@ def _read_family(path: str) -> Family:
     # utf-8-sig drops a leading byte-order mark; one anywhere else stays a format error
     with open(path, "r", encoding="utf-8-sig") as handle:
         try:
-            text = handle.read()
+            try:
+                return parse_family(handle)
+            except FamilyFormatError:
+                handle.read()  # a bad byte anywhere in the file wins over a format error
+                raise
         except UnicodeDecodeError as exc:
+            # a chunk's error counts positions from the chunk's start; a whole read, from the file's
+            if handle.seekable():
+                handle.seek(0)
+                try:
+                    handle.read()
+                except UnicodeDecodeError as whole:
+                    exc = whole
             raise FamilyFormatError(f"{path}: not UTF-8 text ({exc})") from None
-    return parse_family(text)
 
 
 def _cmd_bound(args) -> int:

@@ -10,9 +10,9 @@ membership int.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, compress, count
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 # The chain-count kernel holds each DP level as blocks of up to 2^12 packed
 # fields, every level's bitlen(k^n) bits rounded up to bytes and the final
@@ -399,32 +399,41 @@ def _decimal(token: str) -> int:
     return int(token)
 
 
-# characters per slice of the family text that `parse_family` splits at once
+# characters per slice of the family text that `parse_family` splits at once,
+# and per chunk that it reads from a stream
 _SLICE_CHARS = 1 << 16
 
 
-def _text_slices(text: str) -> Iterator[str]:
-    """`text` in slices of about `_SLICE_CHARS` characters, each ending just
-    after a "\\n" or at the end of the text.  Every line break that holds a
-    "\\n" ends with it ("\\r\\n" is one break), so no break spans a cut and the
-    slices split into exactly the lines of `text.splitlines()`."""
-    start, end = 0, len(text)
-    while start < end:
-        cut = text.find("\n", start + _SLICE_CHARS - 1) + 1 or end
-        yield text[start:cut]
-        start = cut
+def _text_slices(chunks: Iterable[str]) -> Iterator[str]:
+    """The text of `chunks` in slices of at least `_SLICE_CHARS` characters,
+    each ending just after a "\\n", then the rest of the text.  What follows
+    the last "\\n" of a chunk is carried into the next, so a chunk may end
+    anywhere.  Every line break that holds a "\\n" ends with it ("\\r\\n" is
+    one break), so no break spans a cut and the slices split into exactly
+    the lines of the whole text's `splitlines()`."""
+    tail = ""
+    for chunk in chunks:
+        text, start = tail + chunk, 0
+        while cut := text.find("\n", start + _SLICE_CHARS - 1) + 1:
+            yield text[start:cut]
+            start = cut
+        tail = text[start:]
+    if tail:
+        yield tail
 
 
-def parse_family(text: str) -> Family:
-    """Parse the family file format.
+def parse_family(source: str | TextIO) -> Family:
+    """Parse the family file format from a string or a text stream.
 
     First non-comment line is `n=<decimal>`; each later line is one subset
     as space-separated decimal elements of [1, n] (any order) or `-` for
     the empty set.  `#` starts a comment.  Duplicate subsets are rejected.
 
-    The lines are one numbered stream: the slices of `_text_slices`, each
-    split into lines only when `chain` has used up the one before, so the
-    lines of only one slice are alive at once.  The header search reads the
+    A string is one chunk of text; a stream is read in chunks of
+    `_SLICE_CHARS` characters, so its text is never held whole.  The lines
+    are one numbered stream: the slices of `_text_slices`, each split into
+    lines only when `chain` has used up the one before, so the lines of
+    only one slice are alive at once.  The header search reads the
     stream up to the header, and one loop reads the rest of it as body
     lines.  Each line, trailing whitespace stripped and the suffix hi[j]
     removed, is first looked up whole in the table of block j from
@@ -446,7 +455,8 @@ def parse_family(text: str) -> Family:
     whose neighbouring lines seldom share a block nearly every line pays a
     failed lookup on top of its per-line read.
     """
-    numbered = enumerate(chain.from_iterable(map(str.splitlines, _text_slices(text))), start=1)
+    chunks = (source,) if isinstance(source, str) else iter(partial(source.read, _SLICE_CHARS), "")
+    numbered = enumerate(chain.from_iterable(map(str.splitlines, _text_slices(chunks))), start=1)
     for lineno, raw in numbered:
         line = raw.split("#", 1)[0].strip()
         if line:

@@ -77,8 +77,9 @@ class Decomposition(_Value):
 
     `__init__` checks `n` and stores the chains, from any iterable of
     iterables of words, as a tuple of tuples, so no alias of the caller's
-    can change them and the decomposition hashes; `tuple()` of a tuple is
-    that tuple, so a chain given as a tuple is not copied.  `from_chains`
+    can change them and the decomposition hashes.  Chains given as tuples
+    are kept, not copied, and a list or tuple of them becomes one tuple
+    made at its size, not grown and then shrunk.  `from_chains`
     also checks the words and canonicalizes chain order.  Neither requires
     the chains to form a valid SCD; `validate_scd` reports that, so
     deliberately broken decompositions can be represented in tests.  A word
@@ -91,7 +92,10 @@ class Decomposition(_Value):
 
     def __init__(self, n: int, chains: Iterable[Iterable[int]]):
         check_ground_set(n)
-        self._set(n, tuple(map(tuple, chains)))
+        chains = tuple(chains)
+        if {*map(type, chains)} - {tuple}:
+            chains = tuple([*map(tuple, chains)])
+        self._set(n, chains)
 
     @classmethod
     def from_chains(cls, n: int, chains: Iterable[Sequence[int]]) -> "Decomposition":

@@ -120,7 +120,28 @@ def test_count_non_utf8_family_is_format_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "count", "--k", "2", "--family", str(path))
     assert code == 5
     assert out == ""
-    assert "not UTF-8" in err
+    assert err == (f"error: {path}: not UTF-8 text ('utf-8' codec can't decode byte 0xe9"
+                   " in position 9: invalid continuation byte)\n")
+
+
+@pytest.mark.parametrize("case", ["late bad byte", "duplicate first", "truncated at the end"])
+def test_count_reports_a_bad_byte_as_a_whole_file_read_does(tmp_path, capsys, case):
+    # the file is read in chunks, yet the error counts the position from the
+    # file's start, and a bad byte anywhere wins over an earlier format error
+    text = serialize_family(build_extremal_family(16, 3, 5000)).encode()
+    header, first, rest = text.split(b"\n", 2)
+    data, want = {
+        "late bad byte": (text[:400_000] + b"\xff" + text[400_000:], "byte 0xff in position 400000: invalid start byte"),
+        "duplicate first": (b"\n".join([header, first, first, rest]) + b"\xff\n",
+                            f"byte 0xff in position {len(text) + len(first) + 1}: invalid start byte"),
+        "truncated at the end": (text + b"1 2\xe2\x82",
+                                 f"bytes in position {len(text) + 3}-{len(text) + 4}: unexpected end of data"),
+    }[case]
+    path = tmp_path / "bad.fam"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "count", "--k", "3", "--family", str(path))
+    assert (code, out) == (5, "")
+    assert err == f"error: {path}: not UTF-8 text ('utf-8' codec can't decode {want})\n"
 
 
 def test_count_accepts_a_leading_byte_order_mark(tmp_path, capsys):
@@ -475,6 +496,20 @@ def test_console_entry_point_subprocess():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["bound"] == 2 * supersat_bound(5, 3, 1)
+
+
+def test_count_reads_a_family_from_a_pipe():
+    # a pipe cannot seek back for a whole read, so a bad byte is reported
+    # from its decode chunk; in the file's first chunk the position is the same
+    def count(data):
+        argv = [sys.executable, "-m", "supersat.cli", "count", "--k", "2", "--family", "/dev/stdin"]
+        proc = subprocess.run(argv, input=data, capture_output=True)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    want = f'{{"count": {supersat_bound(6, 2, 3)}}}\n'.encode()
+    assert count(serialize_family(build_extremal_family(6, 2, 3)).encode()) == (0, want, b"")
+    assert count(b"n=3\n# caf\xe9\n1 2\n") == (5, b"", b"error: /dev/stdin: not UTF-8 text ('utf-8' codec"
+                                                     b" can't decode byte 0xe9 in position 9: invalid continuation byte)\n")
 
 
 def test_big_integers_serialized_as_strings(capsys):

@@ -1,10 +1,13 @@
 import random
+from functools import partial
 from itertools import chain, combinations, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import LAYOUTS
 from supersat import core
+from supersat.bounds import build_extremal_family
 from supersat.core import (
     _line_word,
     DuplicateSubset,
@@ -423,10 +426,10 @@ def _assert_slices_split_like_the_whole_text(text, monkeypatch, slice_chars):
     gives the family, or the error text with its line number, that one slice
     holding the whole text gives."""
     monkeypatch.setattr(core, "_SLICE_CHARS", len(text) + 1)
-    assert list(core._text_slices(text)) == ([text] if text else [])
+    assert list(core._text_slices([text])) == ([text] if text else [])
     whole = _outcome(text)
     monkeypatch.setattr(core, "_SLICE_CHARS", slice_chars)
-    slices = list(core._text_slices(text))
+    slices = list(core._text_slices([text]))
     assert "".join(slices) == text
     assert all(piece.endswith("\n") for piece in slices[:-1])
     assert list(chain.from_iterable(map(str.splitlines, slices))) == text.splitlines()
@@ -477,10 +480,28 @@ def test_sliced_parse_of_a_file_longer_than_one_slice():
     # the same lines ended by every separator in turn, and with CRLF
     mixed = "".join(line + SEPARATORS[i % len(SEPARATORS)] for i, line in enumerate(lines))
     for variant in (text, text.replace("\n", "\r\n"), mixed):
-        slices = list(core._text_slices(variant))
+        slices = list(core._text_slices([variant]))
         assert len(slices) > 2 and all(len(piece) >= core._SLICE_CHARS for piece in slices[:-1])
         assert list(chain.from_iterable(map(str.splitlines, slices))) == lines
         assert parse_family(variant) == fam
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+def test_streamed_parse_matches_the_whole_text(family_dir, monkeypatch, name):
+    path = family_dir / name
+    text = path.read_bytes().decode("utf-8-sig")
+    want = parse_family(text)
+    assert want == build_extremal_family(14, 4, 5)
+    # chunks of 7 and 1,000 characters cut lines and (with newline="") "\r\n" pairs
+    for chars in (7, 1000, core._SLICE_CHARS):
+        monkeypatch.setattr(core, "_SLICE_CHARS", chars)
+        for newline in (None, ""):
+            with open(path, encoding="utf-8-sig", newline=newline) as handle:
+                assert parse_family(handle) == want, (chars, newline)
+            with open(path, encoding="utf-8-sig", newline=newline) as handle:
+                slices = list(core._text_slices(iter(partial(handle.read, chars), "")))
+            assert all(len(piece) >= chars and piece.endswith("\n") for piece in slices[:-1])
+            assert list(chain.from_iterable(map(str.splitlines, slices))) == text.splitlines()
 
 
 def test_head_tables_invert_the_serialized_lines():

@@ -1,6 +1,7 @@
 """CLI stdout pinned by SHA-256: each command of `stdout.sha256` runs in
-process through `cli.main`, and its exit code and the hash of its stdout
-must equal the pinned ones."""
+process through `cli.main`, in the directory of the family files, and its
+exit code, the hash of its stdout and its stderr must equal the pinned
+ones."""
 
 import hashlib
 from pathlib import Path
@@ -10,13 +11,19 @@ import pytest
 from supersat.cli import main
 
 PINNED = [
-    line.split(" ", 2)
-    for line in Path(__file__).with_name("stdout.sha256").read_text(encoding="ascii").splitlines()
-    if line and not line.startswith("#")
+    (*line.split(" ", 2), err)
+    for line, _, err in (
+        row.partition("\t")
+        for row in Path(__file__).with_name("stdout.sha256").read_text(encoding="ascii").splitlines()
+        if row and not row.startswith("#")
+    )
 ]
 
 
-@pytest.mark.parametrize("digest, code, args", PINNED, ids=[args for _, _, args in PINNED])
-def test_stdout_matches_its_pinned_hash(capsys, digest, code, args):
+@pytest.mark.parametrize("digest, code, args, err", PINNED, ids=[args for _, _, args, _ in PINNED])
+def test_stdout_matches_its_pinned_hash(capsys, monkeypatch, family_dir, digest, code, args, err):
+    monkeypatch.chdir(family_dir)
     assert main(args.split()) == int(code)
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    out, got = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert got == (err and err + "\n")
