@@ -54,7 +54,7 @@ def _emit(payload: dict) -> None:
 
 
 def _read_family(path: str) -> Family:
-    from supersat.core import FamilyFormatError, parse_family
+    from supersat.core import _SLICE_CHARS, FamilyFormatError, parse_family
 
     # utf-8-sig drops a leading byte-order mark; one anywhere else stays a format error
     with open(path, "r", encoding="utf-8-sig") as handle:
@@ -62,14 +62,16 @@ def _read_family(path: str) -> Family:
             try:
                 return parse_family(handle)
             except FamilyFormatError:
-                handle.read()  # a bad byte anywhere in the file wins over a format error
+                while handle.read(_SLICE_CHARS):  # a bad byte anywhere in the file wins
+                    pass
                 raise
         except UnicodeDecodeError as exc:
-            # a chunk's error counts positions from the chunk's start; a whole read, from the file's
+            # a chunk's error counts positions from the chunk's start; the bytes read so far, from the file's
             if handle.seekable():
-                handle.seek(0)
+                end = handle.buffer.tell()
+                handle.buffer.seek(0)
                 try:
-                    handle.read()
+                    handle.buffer.read(end).decode("utf-8-sig")
                 except UnicodeDecodeError as whole:
                     exc = whole
             raise FamilyFormatError(f"{path}: not UTF-8 text ({exc})") from None

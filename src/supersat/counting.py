@@ -5,9 +5,10 @@ Every count of chains inside a family comes from one kernel, `_chains_by_top`:
 a subset-zeta dynamic program over the 2^n subset words, each DP level held
 as a list of blocks, packed Python ints of 2^b fields each with
 b = min(`_BLOCK_BITS`, n), one field per word.  Every level of a count runs
-at one field width, from an a-priori bound on every value the DP reaches (see
-`_chains_by_top`), so counts are exact with no overflow to detect; only the
-final sum is widened.  Its in-block transform `_zeta` also serves the
+at one field width W, from an a-priori bound on every value the DP reaches
+(see `_chains_by_top`), and the total is summed at 2W (see `_count`), so
+counts are exact with no overflow to detect and no field is ever widened.
+Its in-block transform `_zeta` also serves the
 exhaustive n <= 4 sweep in `supersat.oracle`, run once over the lattice of
 all families.
 """
@@ -36,29 +37,13 @@ def _check_k(k: int) -> None:
         raise ValueError(f"chain length k must be >= 1, got {k}")
 
 
-def _field_bytes(n: int, j: int) -> int:
-    """bitlen((j+1)^n), rounded up to whole bytes: every count of j-chains
-    inside a subset of [n] fits it.  A k-chain count runs every DP level at
-    `_field_bytes(n, k - 1)` and sums its total at `_field_bytes(n, k)`;
-    `_chains_by_top` proves it."""
-    return ((j + 1) ** n).bit_length() + 7 >> 3
-
-
 @lru_cache(maxsize=None)
-def _widths(bits: int, k: int) -> tuple[int, int, int]:
-    """(width, wide, keep) of a k-chain count over [bits]: `_chains_by_top`
-    runs at `width` bytes per field, the total needs `wide` =
-    `_field_bytes(bits, k)`, and `_count` folds at `width` down to 2^keep
-    fields.  Summed down to 2^keep fields, field i sums f_k(B) over the tops
-    B that agree with i on the low `keep` bits.  A k-chain with top B sends
-    each element of B to the first chain set that holds it, so there are at
-    most k^|B| of them, and the sum is at most k^keep * (k + 1)^(n - keep);
-    keep is the least for which that bound fits `width`."""
-    width = _field_bytes(bits, max(k - 1, 1))
-    keep = bits
-    while keep and (k ** (keep - 1) * (k + 1) ** (bits - keep + 1)).bit_length() <= width << 3:
-        keep -= 1
-    return width, _field_bytes(bits, k), keep
+def _width(n: int, k: int) -> int:
+    """W of a k-chain count over [n]: bitlen(max(k, 2)^n) rounded up to
+    whole bytes.  Every DP level of the count runs at W bytes per field
+    (`_chains_by_top` proves it fits), and W holds 2^n, so 8 W > n and
+    `_count` sums the total at 2W."""
+    return (max(k, 2) ** n).bit_length() + 7 >> 3
 
 
 def _members(mask: bytes | bytearray, width: int) -> int:
@@ -66,18 +51,6 @@ def _members(mask: bytes | bytearray, width: int) -> int:
     packed = bytearray(len(mask) * width)
     packed[::width] = mask
     return int.from_bytes(packed, "little")
-
-
-def _widen(table: int, width: int, wide: int, bits: int) -> int:
-    """The packed table of 2^bits `width`-byte fields, as `wide`-byte fields
-    (wide >= width) holding the same values: byte i of every field moves by
-    one strided slice."""
-    data = table.to_bytes(width << bits, "little")
-    out = bytearray(wide << bits)
-    for i in range(width):
-        out[i::wide] = data[i::width]
-    del data
-    return int.from_bytes(out, "little")
 
 
 def _pass_masks(bits: int, width: int) -> Iterator[tuple[int, int]]:
@@ -118,13 +91,12 @@ def _zeta(table: int, passes: Iterable[tuple[int, int]]) -> int:
     return table
 
 
-def _fold(table: int, bits: int, width: int, keep: int = 0) -> int:
-    """The packed table of 2^bits fields with its upper half added onto its
-    lower half until 2^keep fields are left; at keep = 0 the one field left
-    is the sum of all fields.  The caller guarantees every sum fits its
-    field."""
+def _fold(table: int, bits: int, width: int) -> int:
+    """The sum of the 2^bits `width`-byte fields of a packed table: its
+    upper half is added onto its lower half until one field is left.  The
+    caller guarantees every sum fits its field."""
     size = (width << 3) << bits
-    for _ in range(bits - keep):
+    for _ in range(bits):
         size >>= 1
         table = (table & ((1 << size) - 1)) + (table >> size)
     return table
@@ -139,8 +111,7 @@ def _chains_by_top(mask: bytes | bytearray, k: int) -> list[int]:
     """Per subset word B, the number of strict k-chains of the family whose
     largest set is B (0 when B is not a member), as blocks of 2^b fields,
     b = min(`_BLOCK_BITS`, n): word i * 2^b + r is field r of block i.
-    Every field is W bytes wide, the first of `_widths(n, k)`:
-    W = `_field_bytes(n, k - 1)`, or `_field_bytes(n, 1)` at k = 1.
+    Every field is W = `_width(n, k)` bytes wide.
 
     Level j holds f_j(B) = sum of f_{j-1}(A) over members A strictly inside B,
     computed as `(zeta(f_{j-1}) - f_{j-1}) & fam`, where `fam` has all-ones
@@ -166,18 +137,16 @@ def _chains_by_top(mask: bytes | bytearray, k: int) -> list[int]:
       changes the width.
     - zeta(f_j) - f_j is nonnegative in every field, since the zeta sum at
       B includes the term A = B, so no subtraction borrows.
-    - `_count` folds f_k.  The folded total, and every partial sum on the
-      way, counts distinct k-chains of the lattice, so it is at most
-      (k + 1)^n < 2^(8 W_k) for W_k = `_field_bytes(n, k)`; `_count` shows
-      when the narrower width of f_k holds them too.
-    - Whole-byte widths let the blocks be built and widened by byte slicing.
+    - `_count` sums f_k at 2W, which holds any sum of 2^n fields of W
+      bytes, so the total needs no bound on f_k beyond its width.
+    - Whole-byte widths let the blocks be built by byte slicing.
     """
     bits = (len(mask) - 1).bit_length()
     # min(_BLOCK_BITS, bits), at a tenth of the builtin's call cost
     low = bits if bits < _BLOCK_BITS else _BLOCK_BITS
     nblocks = len(mask) >> low
     blocks = range(nblocks)
-    width = _widths(bits, k)[0]
+    width = _width(bits, k)
     tops = [_members(mask[i << low : i + 1 << low], width) for i in blocks]
     ones = (1 << (width << 3)) - 1
     fam = [t * ones for t in tops]
@@ -199,24 +168,19 @@ def _chains_by_top(mask: bytes | bytearray, k: int) -> list[int]:
 def _count(mask: bytes | bytearray, k: int) -> int:
     """Total number of strict k-chains of the family with membership `mask`.
 
-    The fold of f_k starts at the one width of `_chains_by_top` and ends at
-    W_k = `_field_bytes(n, k)`.  The blocks are summed, and the one left
-    folded, at the narrow width down to 2^keep fields (see `_widths`);
-    every partial sum of blocks is bounded by the full one.  What is left
-    is widened to W_k, which holds every partial sum from there on (see
-    `_chains_by_top`).
+    The total is summed in slots of 2W bytes, W = `_width(n, k)`: each
+    block's odd fields are added onto its even ones with the mask and
+    shift of `_zeta`'s last pass, the blocks are summed, and the slots of
+    the one left are folded.  Every partial sum on the way sums at most
+    2^n fields below 2^(8 W), so it is below 2^(8 W + n) <= 2^(16 W), since
+    W holds 2^n and so 8 W > n: no slot carries, whatever the values of f_k.
     """
     bits = (len(mask) - 1).bit_length()
     low = bits if bits < _BLOCK_BITS else _BLOCK_BITS
-    width, wide, keep = _widths(bits, k)
-    tops = _chains_by_top(mask, k)
-    if wide == width:
-        return _fold(sum(tops), low, width)
-    if keep <= low:
-        return _fold(_widen(_fold(sum(tops), low, width, keep), width, wide, keep), keep, wide)
-    # the blocks i that agree on their low keep - low bits sum at the narrow width
-    step = 1 << keep - low
-    return _fold(sum(_widen(sum(tops[r::step]), width, wide, low) for r in range(step)), low, wide)
+    width = _width(bits, k)
+    even, shift = _block_passes(low, width)[-1]
+    pairs = ((t & even) + (t >> shift & even) for t in _chains_by_top(mask, k))
+    return _fold(sum(pairs), low - 1, 2 * width)
 
 
 def count_k_chains(family: Family, k: int) -> int:
@@ -224,7 +188,7 @@ def count_k_chains(family: Family, k: int) -> int:
 
     Packed subset-zeta dynamic program in pure Python, O(k * n) operations
     on each block of 2^min(`_BLOCK_BITS`, n) fields; every level's fields
-    are about n * log2(k) bits wide, and the final sum's n * log2(k + 1).
+    are about n * log2(k) bits wide, and the final sum's twice that.
     The count is exact.
     """
     _check_k(k)
@@ -306,7 +270,7 @@ def count_chains_with_max_endpoint(family: Family, k: int, word: int) -> int:
 def _top_field(mask: bytes | bytearray, k: int, word: int) -> int:
     """f_k(word) of `_chains_by_top`, read from the one block that holds
     it; at n <= `_BLOCK_BITS` that is field `word` of block 0."""
-    width = _widths((len(mask) - 1).bit_length(), k)[0]
+    width = _width((len(mask) - 1).bit_length(), k)
     block, field = divmod(word, 1 << _BLOCK_BITS)
     return _field(_chains_by_top(mask, k)[block], width, field)
 

@@ -1,9 +1,11 @@
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from supersat import cli
 from supersat.cli import main
 from supersat.core import binom, parse_family, serialize_family, build_b_family
 from supersat.counting import count_k_chains
@@ -142,6 +144,25 @@ def test_count_reports_a_bad_byte_as_a_whole_file_read_does(tmp_path, capsys, ca
     code, out, err = run_cli(capsys, "count", "--k", "3", "--family", str(path))
     assert (code, out) == (5, "")
     assert err == f"error: {path}: not UTF-8 text ('utf-8' codec can't decode {want})\n"
+
+
+@pytest.mark.parametrize("name", ["dup.fam", "late.bad", "latin1.fam"])
+def test_count_reads_no_error_path_whole(family_dir, capsys, monkeypatch, name):
+    # after a format error the rest of the file is read in chunks, and after a
+    # decode error only the bytes read so far are decoded again, so no read
+    # asks for the whole text; the error is the one a plain handle gives
+    argv = ("count", "--k", "4", "--family", str(family_dir / name))
+    want = run_cli(capsys, *argv)
+    assert want[:2] == (5, "")
+
+    class SizedReads(io.TextIOWrapper):
+        def read(self, size=-1):
+            assert size is not None and size >= 0, "a read of the whole text"
+            return super().read(size)
+
+    monkeypatch.setattr(cli, "open", lambda file, mode, encoding: SizedReads(open(file, "rb"), encoding=encoding),
+                        raising=False)
+    assert run_cli(capsys, *argv) == want
 
 
 def test_count_accepts_a_leading_byte_order_mark(tmp_path, capsys):

@@ -132,7 +132,7 @@ def level_formula(n, k, top_level=None):
 
 
 def test_full_lattice_count_matches_level_formula():
-    # every width the kernel runs at below n = 13, and every widening its fold takes
+    # every width the kernel runs at below n = 13, and twice it for the total
     for n in range(1, 13):
         full = Family.full(n)
         for k in range(1, n + 2):
@@ -158,54 +158,54 @@ def test_packed_zeta_matches_submask_sums_at_each_width():
             assert _fold(packed, n, width) == sum(values)
 
 
-def test_widen_keeps_every_field():
-    # every (width, wide) step the fold takes at n <= 20, from the kernel's one
-    # width to the total's; all-ones fields at the top of the table and inside
-    # it must not spill into the bytes the widening adds
-    steps = {
-        (counting._field_bytes(n, j), counting._field_bytes(n, j + 1))
-        for n in range(1, 21)
-        for j in range(1, n + 1)
-    }
-    rng = random.Random(29)
-    for width, wide in sorted(steps):
-        if width == wide:
-            continue
-        full = (1 << (8 * width)) - 1
-        for bits in (0, 1, 4):
-            values = [rng.choice((0, 1, full, rng.randrange(full + 1))) for _ in range(1 << bits)]
-            values[-1] = full
-            table = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
-            widened = counting._widen(table, width, wide, bits)
-            assert [_field(widened, wide, b) for b in range(1 << bits)] == values, (width, wide)
-            assert widened.bit_length() <= 8 * wide << bits
+def test_one_width_per_count(monkeypatch):
+    # every member block and every pass of a count, or of an endpoint count,
+    # is at the count's one width W, which holds 2^n; the total is summed at
+    # 2W from W's own last pass, with no other width
+    widths = set()
 
+    def members(mask, width):
+        widths.add(width)
+        return members_of(mask, width)
 
-def test_only_the_fold_widens(monkeypatch):
-    # every level runs at one width, so no endpoint count widens at all, and
-    # a total widens only once, from that width to the total's
-    steps = []
+    def block_passes(bits, width):
+        widths.add(width)
+        return passes_of(bits, width)
 
-    def widen(table, width, wide, bits):
-        steps.append((width, wide))
-        return widen_of(table, width, wide, bits)
-
-    widen_of = counting._widen
-    monkeypatch.setattr(counting, "_widen", widen)
+    members_of, passes_of = counting._members, counting._block_passes
+    monkeypatch.setattr(counting, "_members", members)
+    monkeypatch.setattr(counting, "_block_passes", block_passes)
     for n in range(1, 13):
         full, top = Family.full(n), (1 << n) - 1
         for k in range(1, n + 2):
-            count_chains_with_max_endpoint(full, k, top)
-            count_chains_with_min_endpoint(full, k, 0)
-            assert steps == [], (n, k)
-            count_k_chains(full, k)
-            fold = (counting._field_bytes(n, k - 1), counting._field_bytes(n, k))
-            assert set(steps) <= {fold}, (n, k, steps)
-            steps.clear()
+            width = counting._width(n, k)
+            assert n < 8 * width, (n, k)
+            counts = (count_chains_with_max_endpoint, (top,)), (count_chains_with_min_endpoint, (0,)), (count_k_chains, ())
+            for count, word in counts:
+                count(full, k, *word)
+                assert widths == {width}, (n, k, count.__name__, widths)
+                widths.clear()
+
+
+def test_total_holds_every_field_at_its_largest(monkeypatch):
+    # the total is summed in 2W-byte slots whatever f_k holds: with every
+    # field of every block at 2^(8W) - 1, the count is 2^n of them
+    def saturated(mask, k):
+        bits = (len(mask) - 1).bit_length()
+        low = min(bits, counting._BLOCK_BITS)
+        block = (1 << (8 * counting._width(bits, k) << low)) - 1
+        return [block] * (len(mask) >> low)
+
+    monkeypatch.setattr(counting, "_chains_by_top", saturated)
+    for n in range(1, 21):
+        mask = bytes(1 << n)
+        for k in sorted({1, 2, 3, (n + 1) // 2, n + 1}):
+            largest = (1 << 8 * counting._width(n, k)) - 1
+            assert counting._count(mask, k) == largest << n, (n, k)
 
 
 # levels 1..12 are each tight at some n <= 20 and no level above 12 is; each
-# pair's k is one level, at an n where the width `_field_bytes(n, k)` is tight
+# pair's k is one level, at an n where the width `_width(n, k + 1)` is tight
 @pytest.mark.parametrize(
     "n, k",
     [(8, 1), (8, 2), (6, 3), (9, 4), (12, 5), (14, 6), (10, 7), (10, 8), (12, 9), (16, 10), (17, 11), (17, 12)],
@@ -214,10 +214,10 @@ def test_field_width_holds_full_lattice_counts_that_need_its_top_byte(n, k):
     # The zeta over level k of the full lattice sums, at [n], every k-chain
     # of B_n: level_formula(n, k).  Of those, f_k([n]) end at [n]; the rest,
     # with [n] put on top, are the (k+1)-chains ending at [n].  The count
-    # needs the top byte of `_field_bytes(n, k)`, the one width of every
+    # needs the top byte of `_width(n, k + 1)`, the one width of every
     # level of the (k+1)-chain count, so one byte less carries mid-DP; the
-    # fold to the k-chain total ends at the same width.
-    width = counting._field_bytes(n, k)
+    # k-chain total, summed at twice its own levels' width, is the same count.
+    width = counting._width(n, k + 1)
     chains = level_formula(n, k)
     assert 8 * (width - 1) < chains.bit_length() <= 8 * width
     full, top = Family.full(n), (1 << n) - 1
@@ -238,7 +238,7 @@ def block_size_counts(cases):
 def one_block_counts():
     """(family, k, word) for every n <= 12 and k <= n + 1, on a sparse, a
     half-full or a dense random family and on the full lattice, whose counts
-    fill the fields the fold sums at the narrow width, each with one of its
+    fill the most bytes of the one width, each with one of its
     members as the endpoint; and the counts at the default block size, one
     block there."""
     rng = random.Random(31)
@@ -253,8 +253,8 @@ def one_block_counts():
 @pytest.mark.parametrize("block_bits", [1, 2, 5])
 def test_every_block_size_gives_the_same_counts(monkeypatch, one_block_counts, block_bits):
     # a smaller block splits the table, so the passes across blocks, the
-    # blockwise fold and the endpoint's block lookup all run, at every width
-    # and every fold widening of n <= 12
+    # blockwise sum and the endpoint's block lookup all run, at every width
+    # of n <= 12
     cases, whole = one_block_counts
     monkeypatch.setattr(counting, "_BLOCK_BITS", block_bits)
     for (fam, k, w), got, want in zip(cases, block_size_counts(cases), whole):
@@ -265,7 +265,7 @@ def test_every_block_size_gives_the_same_counts(monkeypatch, one_block_counts, b
 
 def test_no_kernel_call_sees_more_than_one_block(monkeypatch):
     # at n = 14 the table is four blocks of 2^12 fields: every int the kernel
-    # builds, transforms, widens or folds holds one block or less
+    # builds, transforms or folds holds one block or less
     seen = []
 
     def members(mask, width):
@@ -278,18 +278,13 @@ def test_no_kernel_call_sees_more_than_one_block(monkeypatch):
         assert table.bit_length() <= 2 * passes[0][1]
         return zeta_of(table, passes)
 
-    def widen(table, width, wide, bits):
+    def fold(table, bits, width):
         seen.append(1 << bits)
-        return widen_of(table, width, wide, bits)
+        return fold_of(table, bits, width)
 
-    def fold(table, bits, width, keep=0):
-        seen.append(1 << bits)
-        return fold_of(table, bits, width, keep)
-
-    members_of, zeta_of, widen_of, fold_of = counting._members, counting._zeta, counting._widen, counting._fold
+    members_of, zeta_of, fold_of = counting._members, counting._zeta, counting._fold
     monkeypatch.setattr(counting, "_members", members)
     monkeypatch.setattr(counting, "_zeta", zeta)
-    monkeypatch.setattr(counting, "_widen", widen)
     monkeypatch.setattr(counting, "_fold", fold)
     for k, x in ((3, 100), (4, 5)):
         fam = build_extremal_family(14, k, x)
