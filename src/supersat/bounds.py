@@ -6,7 +6,7 @@ extremal family construction that attains the bound."""
 from __future__ import annotations
 
 import math
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from supersat.core import (
@@ -16,7 +16,6 @@ from supersat.core import (
     binom,
     check_ground_set,
     check_word,
-    level_words,
     sigma,
 )
 
@@ -264,17 +263,18 @@ def build_extremal_family(
     k middle rows.  `selector` picks the x sets on the added row (default:
     colexicographically smallest); any choice yields the same chain count.
 
-    The row mask (`core._rows_family`) checks the selected words one by one
-    as they go into it and keeps none of them: a bad word raises as it
-    arrives, and too few, too many or repeated words once the selector runs
-    out.
+    The row mask (`core._rows_family`) marks the default sets, the row's
+    words up to its x-th, with no step per set.  It checks a selector's
+    words one by one as they go into it and keeps none of them: a bad word
+    raises as it arrives, and too few, too many or repeated words once the
+    selector runs out.
     """
     _check_nk(n, k)
     limit = tight_x_max(n, k)
     if not 0 <= x <= limit:
         raise ValueError(f"x must be in [0, {limit}] for a tight construction, got {x}")
     row = added_row_level(n, k)
-    words = selector(n, row, x) if selector is not None else islice(level_words(n, row), x)
+    words = selector(n, row, x) if selector is not None else None
     return _rows_family(n, middle_rows(n, k - 1), words, row, x)
 
 

@@ -53,28 +53,50 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
+class _Utf8Text:
+    """A binary file read as UTF-8 text, one `read(size)` chunk at a time,
+    for `parse_family`.  A leading byte-order mark is dropped (one anywhere
+    else stays a format error), and newlines are universal, as in text
+    mode, so a lone-"\\r" file still streams in slices.  `fed` counts the
+    bytes given to the decoder, which turns the position of a decode error
+    in the bytes of its last call into one in the file."""
+
+    def __init__(self, raw) -> None:
+        from codecs import BOM_UTF8, getincrementaldecoder
+        from io import IncrementalNewlineDecoder
+
+        self.raw, self.head, self.fed = raw, raw.read(3).removeprefix(BOM_UTF8), 0
+        self.decode = IncrementalNewlineDecoder(getincrementaldecoder("utf-8")(), True).decode
+
+    def read(self, size: int) -> str:
+        data, self.head = self.head + self.raw.read(size), b""
+        self.fed += len(data)
+        # a short read is the end of the file, where no byte may be held back
+        return self.decode(data, len(data) < size)
+
+
 def _read_family(path: str) -> Family:
+    """The family in the file at `path`.  A file that is not UTF-8 raises a
+    format error that names the first bad byte's offset in the file, as a
+    decode of the whole file does, even after an earlier format error;
+    nothing is read twice, so a pipe reports the same offset."""
     from supersat.core import _SLICE_CHARS, FamilyFormatError, parse_family
 
-    # utf-8-sig drops a leading byte-order mark; one anywhere else stays a format error
-    with open(path, "r", encoding="utf-8-sig") as handle:
+    with open(path, "rb") as handle:
+        text = _Utf8Text(handle)
         try:
             try:
-                return parse_family(handle)
+                return parse_family(text)
             except FamilyFormatError:
-                while handle.read(_SLICE_CHARS):  # a bad byte anywhere in the file wins
+                while text.read(_SLICE_CHARS):  # a bad byte anywhere in the file wins
                     pass
                 raise
         except UnicodeDecodeError as exc:
-            # a chunk's error counts positions from the chunk's start; the bytes read so far, from the file's
-            if handle.seekable():
-                end = handle.buffer.tell()
-                handle.buffer.seek(0)
-                try:
-                    handle.buffer.read(end).decode("utf-8-sig")
-                except UnicodeDecodeError as whole:
-                    exc = whole
-            raise FamilyFormatError(f"{path}: not UTF-8 text ({exc})") from None
+            # exc.object is the bytes of the failing call, the few held back from the call before included
+            at, span = text.fed - len(exc.object) + exc.start, exc.end - exc.start
+            what = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if span == 1
+                    else f"bytes in position {at}-{at + span - 1}")
+            raise FamilyFormatError(f"{path}: not UTF-8 text ('utf-8' codec can't decode {what}: {exc.reason})") from None
 
 
 def _cmd_bound(args) -> int:

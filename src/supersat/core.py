@@ -126,6 +126,20 @@ def _level_picks(n: int, lvl: int) -> tuple[tuple[Callable[[int], int], ...], tu
     return tuple(compress(_high_heads(n), keep)), tuple(map(rows.__getitem__, compress(left, keep)))
 
 
+def _colex_word(n: int, lvl: int, rank: int) -> int:
+    """The word at index `rank` of `level_words(n, lvl)`, 0 <= rank <
+    C(n, lvl), in n `comb` steps: rank is the sum of C(c_i, i) over the
+    bits c_1 < ... < c_lvl of the word (the combinatorial number system),
+    so each bit, from the top, is the highest c left with C(c, i) <= rank."""
+    word = 0
+    for c in reversed(range(n)):
+        if math.comb(c, lvl) <= rank:
+            word |= 1 << c
+            rank -= math.comb(c, lvl)
+            lvl -= 1
+    return word
+
+
 class LevelInterval(NamedTuple):
     """Contiguous range of levels [lo, hi] in the subset lattice."""
 
@@ -282,32 +296,44 @@ def _popcounts(n: int) -> bytes:
     return pc
 
 
-def _rows_family(n: int, rows: LevelInterval, words: Iterable[int] = (), row: int = 0, x: int = 0) -> Family:
+def _rows_family(n: int, rows: LevelInterval, words: Iterable[int] | None = None, row: int = 0, x: int = 0) -> Family:
     """Every subset whose size lies in rows.lo..rows.hi (none for the empty
-    interval lo = hi + 1), plus `words`, which must be x distinct subsets of
-    [n] of size `row`.
+    interval lo = hi + 1), plus x subsets of [n] of size `row`: `words`, or
+    by default the x colex-smallest ones, x <= C(n, row).
 
-    The words are marked in a copy of the popcount table, where a word's
-    byte is its size, one index per word: the byte must be `row`, or 255
-    for a repeat, and a taken word's byte becomes 255.  `w >> n` is nonzero
-    for every word outside [n], negative words included, so no index wraps.
-    A bad word raises as it arrives, before the next one is drawn; too few
-    or too many words, or a repeat, raise once the words run out.  One
-    translate then maps the rows' levels and 255 to 1 and every other byte
-    to 0, which is the mask, so at most two 2^n-byte buffers are alive at
-    once."""
+    The sets are marked in a copy of the popcount table, where a word's
+    byte is its size, by turning their bytes to 255.  The colex-smallest x
+    are the row's words up to its x-th, `_colex_word(n, row, x - 1)`, so
+    a translate turns every byte `row` up to that word to 255, 4 KiB slice
+    by slice: n `comb` steps and one step per slice, whatever x is.
+    `words` are marked one index per word: the byte must be `row`, or 255
+    for a repeat.  `w >> n` is nonzero for every word outside [n],
+    negative words included, so no index wraps.  A bad word raises as it
+    arrives, before the next one is drawn; too few or too many words, or a
+    repeat, raise once the words run out.  One translate then maps the
+    rows' levels and 255 to 1 and every other byte to 0, which is the
+    mask, so at most two 2^n-byte buffers are alive at once."""
     marked = bytearray(_popcounts(n))
-    taken = repeats = 0
-    for w in words:
-        if w >> n or marked[w] != row:
-            check_word(w, n)
-            if marked[w] != 255:
-                raise ValueError(f"selector returned a set of size {level(w)}, expected {row}")
-            repeats += 1
-        marked[w] = 255
-        taken += 1
-    if taken != x or repeats:
-        raise ValueError(f"selector must yield {x} distinct sets")
+    if words is None:
+        end = x and _colex_word(n, row, x - 1) + 1
+        mark = bytearray(range(256))
+        mark[row] = 255
+        # 4 KiB at a time: the whole prefix and its translation would be two more buffers
+        for i in range(0, end, 4096):
+            j = min(i + 4096, end)
+            marked[i:j] = marked[i:j].translate(mark)
+    else:
+        taken = repeats = 0
+        for w in words:
+            if w >> n or marked[w] != row:
+                check_word(w, n)
+                if marked[w] != 255:
+                    raise ValueError(f"selector returned a set of size {level(w)}, expected {row}")
+                repeats += 1
+            marked[w] = 255
+            taken += 1
+        if taken != x or repeats:
+            raise ValueError(f"selector must yield {x} distinct sets")
     band = bytes(rows.lo) + b"\1" * rows.width + bytes(255 - rows.lo - rows.width) + b"\1"
     mask = marked.translate(band)
     del marked  # before the copy to bytes, which `Family` takes

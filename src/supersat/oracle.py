@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from typing import NamedTuple
 
-from supersat.core import Family, _half_rows, _popcounts, _rows_family, binom, check_ground_set, level_words, sigma
+from supersat.core import Family, _colex_word, _half_rows, _popcounts, _rows_family, binom, check_ground_set, sigma
 from supersat.bounds import added_row_level, middle_rows
 from supersat.counting import _check_k, _count, _pass_masks, _zeta, count_k_chains
 
@@ -116,7 +116,7 @@ def _exact_sweep(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         while (hit := group.find(cnt)) < 0:
             cnt += 1
         mins.append(cnt)
-        wits.append(next(islice(level_words(size, m), hit, None)))
+        wits.append(_colex_word(size, m, hit))
     return tuple(mins), tuple(wits)
 
 
@@ -150,7 +150,8 @@ def centered_family(n: int, m: int, mirror_partial: bool = False) -> Family:
     colex-smallest ones on the next row of the middle-out order.  With
     `mirror_partial` they sit on the row at the other end of the block
     instead (n - n//2 when the block is empty), unless that row does not
-    exist or holds fewer than x sets.
+    exist or holds fewer than x sets.  Either side is marked as the row's
+    words up to its x-th (`core._rows_family`), with no step per set.
     """
     check_ground_set(n)
     _check_size(n, m)
@@ -169,7 +170,7 @@ def centered_family(n: int, m: int, mirror_partial: bool = False) -> Family:
     # binom is 0 off the lattice, so a missing row holds too few sets
     if mirror_partial and binom(n, other) >= x:
         row = other
-    return _rows_family(n, block, islice(level_words(n, row), x), row, x)
+    return _rows_family(n, block, None, row, x)
 
 
 def _centered_start(n: int, k: int, m: int) -> tuple[int, Family]:

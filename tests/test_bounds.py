@@ -379,10 +379,11 @@ def test_extremal_family_default_selection_is_the_colex_prefix():
     def colex_prefix(n, lvl, count):
         return sorted(sum(1 << e for e in pick) for pick in combinations(range(n), lvl))[:count]
 
+    # every x up to n = 8, where the default cut falls on each word of the row
     for n in range(1, 11):
-        for k in range(2, min(6, n + 2)):
+        for k in range(2, n + 2 if n <= 8 else min(6, n + 2)):
             t = tight_x_max(n, k)
-            for x in sorted({0, 1, t // 2, t}):
+            for x in range(t + 1) if n <= 8 else sorted({0, 1, t // 2, t}):
                 want = build_extremal_family(n, k, x, selector=colex_prefix)
                 assert build_extremal_family(n, k, x) == want, (n, k, x)
 
@@ -467,19 +468,28 @@ def test_extremal_family_at_the_cap_holds_two_masks_at_most():
 
     from supersat import core
 
-    x = tight_x_max(20, 2)
-    # empty the half-word caches, so that their tables count toward the peak
-    core._level_picks.cache_clear()
-    core._high_heads.cache_clear()
-    core._half_rows.cache_clear()
-    tracemalloc.start()
-    try:
-        fam = build_extremal_family(20, 2, x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert fam.size() == sigma(20, 1) + x == 352716
-    assert peak <= 2 * (1 << 20) + 256 * 1024, peak
+    from supersat.oracle import centered_family
+
+    # whole added rows, whose cut lies near the table's end, one set, and a
+    # centered family whose 80,000 sets cut row 11 mid-way
+    for build, size in [
+        (lambda: build_extremal_family(20, 2, tight_x_max(20, 2)), 352716),
+        (lambda: build_extremal_family(20, 4, 125970), sigma(20, 3) + 125970),
+        (lambda: build_extremal_family(20, 3, 1), sigma(20, 2) + 1),
+        (lambda: centered_family(20, sigma(20, 1) + 80000), sigma(20, 1) + 80000),
+    ]:
+        # empty the half-word caches, so that their tables count toward the peak
+        core._level_picks.cache_clear()
+        core._high_heads.cache_clear()
+        core._half_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            fam = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fam.size() == size
+        assert peak <= 2 * (1 << 20) + 256 * 1024, (size, peak)
 
 
 def test_bound_report_payload():

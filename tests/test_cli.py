@@ -126,7 +126,7 @@ def test_count_non_utf8_family_is_format_error(tmp_path, capsys):
                    " in position 9: invalid continuation byte)\n")
 
 
-@pytest.mark.parametrize("case", ["late bad byte", "duplicate first", "truncated at the end"])
+@pytest.mark.parametrize("case", ["late bad byte", "duplicate first", "truncated at the end", "a cut-short mark"])
 def test_count_reports_a_bad_byte_as_a_whole_file_read_does(tmp_path, capsys, case):
     # the file is read in chunks, yet the error counts the position from the
     # file's start, and a bad byte anywhere wins over an earlier format error
@@ -138,6 +138,8 @@ def test_count_reports_a_bad_byte_as_a_whole_file_read_does(tmp_path, capsys, ca
                             f"byte 0xff in position {len(text) + len(first) + 1}: invalid start byte"),
         "truncated at the end": (text + b"1 2\xe2\x82",
                                  f"bytes in position {len(text) + 3}-{len(text) + 4}: unexpected end of data"),
+        # the first two bytes of a byte-order mark, and nothing more
+        "a cut-short mark": (b"\xef\xbb", "bytes in position 0-1: unexpected end of data"),
     }[case]
     path = tmp_path / "bad.fam"
     path.write_bytes(data)
@@ -148,20 +150,23 @@ def test_count_reports_a_bad_byte_as_a_whole_file_read_does(tmp_path, capsys, ca
 
 @pytest.mark.parametrize("name", ["dup.fam", "late.bad", "latin1.fam"])
 def test_count_reads_no_error_path_whole(family_dir, capsys, monkeypatch, name):
-    # after a format error the rest of the file is read in chunks, and after a
-    # decode error only the bytes read so far are decoded again, so no read
-    # asks for the whole text; the error is the one a plain handle gives
+    # after a format error the rest of the file is read in chunks, and a
+    # decode error is placed in the file from the bytes decoded so far, with
+    # no second read, so no read asks for the whole file; the error is the
+    # one a plain handle gives
     argv = ("count", "--k", "4", "--family", str(family_dir / name))
     want = run_cli(capsys, *argv)
     assert want[:2] == (5, "")
 
-    class SizedReads(io.TextIOWrapper):
+    class SizedReads(io.BufferedReader):
         def read(self, size=-1):
-            assert size is not None and size >= 0, "a read of the whole text"
+            assert size is not None and size >= 0, "a read of the whole file"
             return super().read(size)
 
-    monkeypatch.setattr(cli, "open", lambda file, mode, encoding: SizedReads(open(file, "rb"), encoding=encoding),
-                        raising=False)
+        def seek(self, *args):
+            raise AssertionError("a second read")
+
+    monkeypatch.setattr(cli, "open", lambda file, mode: SizedReads(io.FileIO(file)), raising=False)
     assert run_cli(capsys, *argv) == want
 
 
@@ -519,9 +524,9 @@ def test_console_entry_point_subprocess():
     assert payload["bound"] == 2 * supersat_bound(5, 3, 1)
 
 
-def test_count_reads_a_family_from_a_pipe():
-    # a pipe cannot seek back for a whole read, so a bad byte is reported
-    # from its decode chunk; in the file's first chunk the position is the same
+def test_count_reads_a_family_from_a_pipe(family_dir):
+    # a pipe cannot seek back, yet a bad byte is reported at its position in
+    # the file, as for a file on disk
     def count(data):
         argv = [sys.executable, "-m", "supersat.cli", "count", "--k", "2", "--family", "/dev/stdin"]
         proc = subprocess.run(argv, input=data, capture_output=True)
@@ -531,6 +536,9 @@ def test_count_reads_a_family_from_a_pipe():
     assert count(serialize_family(build_extremal_family(6, 2, 3)).encode()) == (0, want, b"")
     assert count(b"n=3\n# caf\xe9\n1 2\n") == (5, b"", b"error: /dev/stdin: not UTF-8 text ('utf-8' codec"
                                                      b" can't decode byte 0xe9 in position 9: invalid continuation byte)\n")
+    # 0xff at offset 100,000, far past the first read
+    late = b" can't decode byte 0xff in position 100000: invalid start byte)\n"
+    assert count((family_dir / "late.bad").read_bytes()) == (5, b"", b"error: /dev/stdin: not UTF-8 text ('utf-8' codec" + late)
 
 
 def test_big_integers_serialized_as_strings(capsys):

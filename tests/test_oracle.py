@@ -1,11 +1,11 @@
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
 from supersat import oracle
-from supersat.core import Family, binom, level, level_words, sigma
+from supersat.core import Family, _rows_family, binom, level, level_words, sigma
 from supersat.counting import _pass_masks, _zeta, count_k_chains, count_k_chains_naive
-from supersat.bounds import supersat_bound, tight_x_max, build_extremal_family
+from supersat.bounds import middle_rows, supersat_bound, tight_x_max, build_extremal_family
 from supersat.oracle import (
     _anneal,
     _exact_table,
@@ -211,6 +211,10 @@ def test_centered_family_shape_on_both_sides():
                     if 0 <= other <= n and binom(n, other) >= x:
                         want = other
                 assert rest == {want: list(level_words(n, want))[:x]}, (n, m, mirror)
+                # the default row is marked up to one cut word; the per-word
+                # path, fed the row's first x words, gives the same family
+                words = islice(level_words(n, want), x)
+                assert fam == _rows_family(n, middle_rows(n, j), words, want, x), (n, m, mirror)
 
 
 def test_centered_family_sizes_and_extremes():
