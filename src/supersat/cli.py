@@ -157,21 +157,20 @@ def _parse_permutation(text: str, n: int) -> Permutation:
 
 def _cmd_scd(args) -> int:
     from supersat.core import _word_formatter
-    from supersat.scd import Decomposition, _permuted, _scd_chains, validate_scd
+    from supersat.scd import _permuted, _scd_chains, _validate_chains
 
-    # the plain dump writes each chain as it is made; --permute maps them as
-    # they are made and holds only their images; --validate holds them all
+    # every mode reads each chain once, as it is made: the dump writes it,
+    # --validate marks its words, and --permute holds one level's images
     chains = _scd_chains(args.n)
     if args.permute:
         chains = _permuted(chains, _parse_permutation(args.permute, args.n))
     if args.validate:
-        dec = Decomposition(args.n, chains)
-        report = validate_scd(dec)
+        report, read = _validate_chains(args.n, chains)
         _emit(
             {
                 "n": args.n,
                 "method": args.method,
-                "chains": len(dec.chains),
+                "chains": read,
                 "valid": report.ok,
                 "checks": dict(zip(report._fields[:5], report[:5])),
                 "problems": list(report.problems),

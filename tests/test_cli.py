@@ -282,9 +282,9 @@ def test_nperm_payload(capsys):
 
 
 def test_scd_dump_never_builds_the_locator(capsys, monkeypatch):
-    # the plain dump writes the chains as they are made and builds no
-    # `Decomposition` at all, nor does `--permute`, which maps them as they
-    # are made; `--validate` builds one and reads its chains
+    # every mode reads the chains as they are made and builds no
+    # `Decomposition` at all: the plain dump, `--validate`, which counts
+    # the chains it reads, and `--permute`, which maps them as they come
     import supersat.scd
     from supersat.scd import Decomposition
 
@@ -302,18 +302,16 @@ def test_scd_dump_never_builds_the_locator(capsys, monkeypatch):
     monkeypatch.setattr(supersat.scd, "_first_chains", refuse)
     code, out, _ = run_cli(capsys, "scd", "--n", "12")
     assert code == 0 and len(out.splitlines()) == binom(12, 6)
-    assert built == []
     code, out, _ = run_cli(capsys, "scd", "--n", "12", "--validate")
     assert code == 0 and json.loads(out)["checks"]["locator"] is True
-    assert len(built) == 1 and set(vars(built[0])) == {"n", "chains"}
+    assert json.loads(out)["chains"] == binom(12, 6)
     rotation = ",".join(map(str, [*range(2, 13), 1]))
-    built.clear()
     code, out, _ = run_cli(capsys, "scd", "--n", "12", "--permute", rotation)
     assert code == 0 and len(out.splitlines()) == binom(12, 6)
-    assert built == []
     code, out, _ = run_cli(capsys, "scd", "--n", "12", "--permute", rotation, "--validate")
     assert code == 0 and json.loads(out)["valid"] is True
-    assert len(built) == 1
+    assert json.loads(out)["chains"] == binom(12, 6)
+    assert built == []
 
 
 def test_nperm_enumerate_rejects_large_n_before_building_the_scd(capsys, monkeypatch):

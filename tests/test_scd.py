@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from itertools import permutations
 
 import pytest
@@ -11,6 +12,7 @@ from supersat.scd import (
     _first_chains,
     _permuted,
     _scd_chains,
+    _validate_chains,
     bracketing_chain_of,
     chain_through,
     permute_decomposition,
@@ -372,9 +374,25 @@ def test_the_mapper_reads_a_one_shot_chain_stream():
         cases += [(n, (*range(2, n + 1), 1)), (n, (n, *range(1, n)))]
     for n, image in cases:
         dec, perm = scd_inductive(n), Permutation(image)
-        mapped = _permuted(iter(dec.chains), perm)
-        assert tuple(mapped) == permute_decomposition(dec, perm).chains, (n, image)
-        assert tuple(mapped) == per_word_image(dec, perm).chains, (n, image)
+        mapped = tuple(_permuted(iter(dec.chains), perm))
+        assert mapped == permute_decomposition(dec, perm).chains, (n, image)
+        assert mapped == per_word_image(dec, perm).chains, (n, image)
+
+
+def test_permute_sorts_chains_that_come_out_of_level_order():
+    # `_permuted` sorts one level at a time and needs the chains by level;
+    # a raw decomposition may list them in any order, and its image must
+    # still be the checked constructor's, in `_chain_order`
+    rng = random.Random(31)
+    cases = [(4, image) for image in permutations(range(1, 5))]
+    cases += [(n, rng.sample(range(1, n + 1), n)) for n in (6, 9) for _ in range(3)]
+    for n, image in cases:
+        chains, perm = scd_inductive(n).chains, Permutation(image)
+        for order in (chains[::-1], rng.sample(chains, len(chains))):
+            dec = Decomposition(n, order)
+            permuted = permute_decomposition(dec, perm)
+            assert permuted == per_word_image(dec, perm), (n, image)
+            assert permuted == permute_decomposition(scd_inductive(n), perm), (n, image)
 
 
 def test_permute_keeps_the_checked_order_on_non_ascending_chains():
@@ -552,6 +570,67 @@ def test_validate_pins_the_whole_report():
         assert report == ScdValidation(*flags, problems), chains
 
 
+def test_validate_reads_a_one_shot_chain_stream():
+    # `scd --validate` checks the chains as `_scd_chains` makes them, so the
+    # validator must read each chain once and count the chains it reads
+    for n, chains, flags, problems in VALIDATION_CASES:
+        report, read = _validate_chains(n, iter(chains))
+        assert report == ScdValidation(*flags, problems), chains
+        assert read == len(chains), chains
+    report, read = _validate_chains(2, iter(()))
+    assert read == 0
+    assert report.problems == ("chains cover 0 of 4 subsets", "0 chains, expected C(n, n//2) = 2")
+
+
+def fill_tuple_free_lists():
+    """Fill CPython's free lists of small tuples, 2000 of each size below
+    20, so that the chain tuples a stream makes and frees are reused from
+    them, not left on them and traced as if they were held."""
+    junk = [tuple(range(size)) for size in range(1, 20) for _ in range(2000)]
+    del junk
+
+
+def test_stream_validation_peaks_at_the_seen_flags():
+    import tracemalloc
+
+    fill_tuple_free_lists()
+    chains = _scd_chains(16)  # its half tables are made here, before tracing
+    tracemalloc.start()
+    try:
+        report, read = _validate_chains(16, chains)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and read == binom(16, 8)
+    # the bound of `test_validate_peaks_at_the_seen_flags`: no chain is kept
+    assert peak <= (1 << 16) + 16 * 1024, peak
+
+
+def test_permute_holds_one_level_of_images():
+    import sys
+    import tracemalloc
+
+    n = 16
+    rotation = Permutation((*range(2, n + 1), 1))
+    # the images of the largest level: per chain a tuple, its words and a
+    # list slot; level 6 has 3,640 chains of 5 words, 0.83 MB, and the
+    # whole image of 12,870 chains about 4 MB
+    sizes = [(binom(n, v) - binom(n, v - 1), n + 1 - 2 * v) for v in range(n // 2 + 1)]
+    word = sys.getsizeof(1 << 15)
+    level = max(count * (sys.getsizeof((0,) * size) + size * word + 8) for count, size in sizes)
+    fill_tuple_free_lists()
+    chains = _scd_chains(n)
+    tracemalloc.start()
+    try:
+        deque(_permuted(chains, rotation), 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a quarter more for the sort list's growth and the half tables; two
+    # adjacent levels held together would not pass, nor would the whole image
+    assert peak <= level * 5 // 4, (peak, level)
+
+
 def test_validate_peaks_at_the_seen_flags():
     import tracemalloc
 
@@ -579,3 +658,6 @@ def test_permute_rejects_chains_it_cannot_map():
     for chains, idx in cases:
         with pytest.raises(ValueError, match=f"chain {idx} is empty or holds a word outside \\[2\\]"):
             permute_decomposition(Decomposition(2, chains), swap)
+        # the stream mapper checks each chain before it maps it or reads its length
+        with pytest.raises(ValueError, match=f"chain {idx} is empty or holds a word outside \\[2\\]"):
+            deque(_permuted(iter(chains), swap), 0)
