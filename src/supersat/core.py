@@ -15,8 +15,8 @@ from itertools import chain, compress, count
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 # The chain-count kernel holds each DP level as blocks of up to 2^12 packed
-# fields, every level's bitlen(k^n) bits rounded up to bytes and the final
-# sum's bitlen((k+1)^n), and makes O(k * n) big-int operations on each block;
+# fields of W = bitlen(max(k, 2)^n) bits rounded up to bytes, sums the total
+# in slots of 2W bytes, and makes O(k * n) big-int operations on each block;
 # at n = 20 (a million subsets) a count takes a few tenths of a second.
 MAX_N = 20
 
@@ -82,12 +82,18 @@ def level_words(n: int, lvl: int) -> Iterator[int]:
     A word is (j << h) | i with high half j and low half i of h = n - n // 2
     bits.  For each high half j in ascending order the row holds the low
     halves of popcount lvl - popcount(j), ascending, so the row is a chain
-    of one C-level `map` of (j << h).__or__ over each such tuple of low
-    halves, with no Python step per word.  The chain is lazy: the first x
-    words of the row cost O(x + 2^(n // 2)).
+    of one C-level `map` of (j << h).__or__ over each such tuple of
+    `_half_rows(h)`, with no Python step per word; off the lattice no high
+    half leaves a popcount in 0..h and the row is empty.  n is checked when
+    called.  The chain is lazy: the first x words of the row cost
+    O(x + 2^(n // 2)).
     """
-    heads, lows = _level_picks(n, lvl)
-    return chain.from_iterable(map(map, heads, lows))
+    check_ground_set(n)
+    h = n - n // 2
+    rows = _half_rows(h)
+    return chain.from_iterable(
+        map((j << h).__or__, rows[lvl - b]) for j, b in enumerate(_popcounts(n - h)) if 0 <= lvl - b <= h
+    )
 
 
 @lru_cache(maxsize=None)
@@ -97,33 +103,6 @@ def _half_rows(h: int) -> tuple[tuple[int, ...], ...]:
     for i, b in enumerate(_popcounts(h)):
         rows[b].append(i)
     return tuple(map(tuple, rows))
-
-
-@lru_cache(maxsize=None)
-def _high_heads(n: int) -> tuple[Callable[[int], int], ...]:
-    """heads[j] is (j << h).__or__ for every high half j of [n], h = n - n // 2."""
-    h = n - n // 2
-    return tuple((j << h).__or__ for j in range(1 << (n - h)))
-
-
-# typed, so that a bool or float n misses the cache and is checked; 256
-# holds the 230 pairs (n, lvl) of the lattices up to MAX_N = 20
-@lru_cache(maxsize=256, typed=True)
-def _level_picks(n: int, lvl: int) -> tuple[tuple[Callable[[int], int], ...], tuple[tuple[int, ...], ...]]:
-    """(heads, lows) for `level_words`: heads[t] is (j << h).__or__ and
-    lows[t] the low halves of popcount lvl - popcount(j), for the high
-    halves j that leave that popcount in 0..h, ascending; empty off the
-    lattice.  The heads are the shared ones of `_high_heads(n)`, so a level
-    keeps only references to them."""
-    check_ground_set(n)
-    if not 0 <= lvl <= n:
-        return (), ()
-    h = n - n // 2
-    rows = _half_rows(h)
-    # the popcount each high half leaves to its low halves
-    left = [lvl - b for b in _popcounts(n - h)]
-    keep = [0 <= b <= h for b in left]
-    return tuple(compress(_high_heads(n), keep)), tuple(map(rows.__getitem__, compress(left, keep)))
 
 
 def _colex_word(n: int, lvl: int, rank: int) -> int:

@@ -106,9 +106,10 @@ class Decomposition(_Value):
 
         `scd_inductive` calls the class directly: `_scd_chains` makes words
         of [n] only, on ascending chains, already in `_chain_order`.
-        `permute_decomposition` sorts the images of `_images` here, and
-        `_permuted` puts them in the same order one level at a time.  The
-        tests pin both against this constructor.
+        `permute_decomposition` sorts the images of `_images` (which checks
+        each chain before mapping it) by the same key, and `_permuted` puts
+        them in the same order one level at a time.  The tests pin both
+        against this constructor.
         """
         check_ground_set(n)
         canon = [tuple(ch) for ch in chains]
@@ -302,12 +303,13 @@ def _validate_chains(n: int, chains: Iterable[Chain]) -> tuple[ScdValidation, in
 
 def permute_decomposition(dec: Decomposition, perm: Permutation) -> Decomposition:
     """Apply the permutation to every set of every chain: the images of
-    `_images`, sorted by the checked constructor into `_chain_order`
-    whatever order the chains come in.  A permutation of another ground
-    set raises `ValueError`."""
+    `_images`, which rejects a chain that is empty or leaves [n] before it
+    maps it, sorted stably into `_chain_order` whatever order the chains
+    come in, as `Decomposition.from_chains` sorts them.  A permutation of
+    another ground set raises `ValueError`."""
     if perm.n != dec.n:
         raise ValueError(f"permutation acts on [{perm.n}] but decomposition is over [{dec.n}]")
-    return Decomposition.from_chains(dec.n, _images(dec.chains, perm))
+    return Decomposition(dec.n, sorted(_images(dec.chains, perm), key=_chain_order))
 
 
 def _permuted(chains: Iterable[Chain], perm: Permutation) -> Iterator[Chain]:

@@ -478,9 +478,7 @@ def test_extremal_family_at_the_cap_holds_two_masks_at_most():
         (lambda: build_extremal_family(20, 3, 1), sigma(20, 2) + 1),
         (lambda: centered_family(20, sigma(20, 1) + 80000), sigma(20, 1) + 80000),
     ]:
-        # empty the half-word caches, so that their tables count toward the peak
-        core._level_picks.cache_clear()
-        core._high_heads.cache_clear()
+        # empty the half-word cache, so that its tables count toward the peak
         core._half_rows.cache_clear()
         tracemalloc.start()
         try:

@@ -168,31 +168,22 @@ def test_level_words_prefix_is_lazy():
     assert peak < 1 << 20, peak
 
 
-def test_level_picks_share_one_head_per_high_half():
-    import tracemalloc
+def test_level_words_up_to_the_cap_are_complete():
+    # past n = 12 the half-word split is checked without listing the subsets:
+    # C(n, lvl) strictly ascending words, each of popcount lvl, are the whole row
+    for n in range(13, 21):
+        for lvl in range(-1, n + 2):
+            words = list(level_words(n, lvl))
+            assert len(words) == binom(n, lvl), (n, lvl)
+            assert all(map(int.__lt__, words, words[1:])), (n, lvl)
+            assert all(w.bit_count() == lvl for w in words), (n, lvl)
 
-    from supersat import core
 
-    for n in (1, 2, 7, 16):
-        shared = core._high_heads(n)
+def test_colex_word_unranks_level_words():
+    for n in range(1, 13):
         for lvl in range(n + 1):
-            heads, lows = core._level_picks(n, lvl)
-            assert len(heads) == len(lows)
-            assert all(any(head is s for s in shared) for head in heads), (n, lvl)
-    # high half 0 heads every level up to h = 8 of the 16-bit lattice, as one object
-    assert core._level_picks(16, 3)[0][0] is core._level_picks(16, 8)[0][0]
-    core._level_picks.cache_clear()
-    core._high_heads.cache_clear()
-    core._half_rows(8)
-    tracemalloc.start()
-    try:
-        for lvl in range(17):
-            core._level_picks(16, lvl)
-        kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # about 61 KiB; one bound method per high half of every level kept about 220 KiB
-    assert kept < 100 * 1024, kept
+            words = list(level_words(n, lvl))
+            assert [core._colex_word(n, lvl, r) for r in range(len(words))] == words, (n, lvl)
 
 
 def test_family_validation():
