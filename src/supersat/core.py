@@ -10,7 +10,7 @@ membership int.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, compress, count
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
@@ -80,29 +80,22 @@ def level_words(n: int, lvl: int) -> Iterator[int]:
     """All subsets of [n] of size `lvl`, ascending as integers (colex order).
 
     A word is (j << h) | i with high half j and low half i of h = n - n // 2
-    bits.  For each high half j in ascending order the row holds the low
-    halves of popcount lvl - popcount(j), ascending, so the row is a chain
-    of one C-level `map` of (j << h).__or__ over each such tuple of
-    `_half_rows(h)`, with no Python step per word; off the lattice no high
-    half leaves a popcount in 0..h and the row is empty.  n is checked when
-    called.  The chain is lazy: the first x words of the row cost
-    O(x + 2^(n // 2)).
+    bits.  rows[b] holds the low halves of popcount b, ascending, built per
+    call and kept by no cache.  For each high half j in ascending order
+    the row holds rows[lvl - popcount(j)], so the row is a chain of one
+    C-level `map` of (j << h).__or__ over each such list, with no Python
+    step per word; off the lattice no high half leaves a popcount in 0..h
+    and the row is empty.  n is checked when called.  The chain is lazy:
+    the first x words of the row cost O(x + 2^(n // 2)).
     """
     check_ground_set(n)
     h = n - n // 2
-    rows = _half_rows(h)
-    return chain.from_iterable(
-        map((j << h).__or__, rows[lvl - b]) for j, b in enumerate(_popcounts(n - h)) if 0 <= lvl - b <= h
-    )
-
-
-@lru_cache(maxsize=None)
-def _half_rows(h: int) -> tuple[tuple[int, ...], ...]:
-    """rows[b] holds the h-bit words of popcount b, ascending."""
     rows: list[list[int]] = [[] for _ in range(h + 1)]
     for i, b in enumerate(_popcounts(h)):
         rows[b].append(i)
-    return tuple(map(tuple, rows))
+    return chain.from_iterable(
+        map((j << h).__or__, rows[lvl - b]) for j, b in enumerate(_popcounts(n - h)) if 0 <= lvl - b <= h
+    )
 
 
 def _colex_word(n: int, lvl: int, rank: int) -> int:

@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import NamedTuple
 
-from supersat.core import Family, _colex_word, _half_rows, _popcounts, _rows_family, binom, check_ground_set, sigma
+from supersat.core import Family, _colex_word, _rows_family, binom, check_ground_set, sigma
 from supersat.bounds import added_row_level, middle_rows
 from supersat.counting import _check_k, _count, _pass_masks, _zeta, count_k_chains
 
@@ -49,15 +49,8 @@ def _check_size(n: int, m: int) -> None:
         raise ValueError(f"family size must be in [0, {1 << n}], got {m}")
 
 
-def _exact_table(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """`_exact_sweep(n, k)`.  No chain of [n] has more than n + 1 sets, so
-    every k > n + 1 shares the k = n + 2 table, whose chain list runs out
-    on its last step."""
-    return _exact_sweep(n, min(k, n + 2))
-
-
 @lru_cache(maxsize=None)
-def _exact_sweep(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _exact_table(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Exhaustive k-chain minima over every family of every size, n <= 4.
 
     A k-chain lies in a family iff the 2^n-bit set of its words is a subset
@@ -66,18 +59,22 @@ def _exact_sweep(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     families, and running the subset-zeta transform on that table leaves
     every family's k-chain count at its own index.  Returns (mins,
     witnesses) indexed by family size m; the witness is the smallest
-    membership bitset attaining the minimum.
+    membership bitset attaining the minimum.  No chain of [n] has more than
+    n + 1 sets, so a k > n + 1 is answered as k = n + 2, whose chain list
+    runs out on its last step.
 
     The minima are read without a Python loop over the families.  Family
     f = (r << h) | c sits in row r, column c of the table, h = 2^n // 2.
-    Transposing the table with its columns taken in popcount order
-    (`_half_rows(h)`), then transposing back, regroups every row's columns
-    by popcount, ascending within one popcount.  The families of size m are
-    then, row after row, one run of columns of popcount m - |r| each, which
-    is `level_words(2^n, m)` order, so in their joined bytes the first
-    `bytes.find` hit of the least count present is the minimum, and the
-    word at the hit's place in that order its smallest witness.
+    Transposing the table with its columns taken in popcount order (one
+    stable sort of the 2^h columns by popcount), then transposing back,
+    regroups every row's columns by popcount, ascending within one
+    popcount.  The families of size m are then, row after row, one run of
+    columns of popcount m - |r| each, which is `level_words(2^n, m)` order,
+    so in their joined bytes the first `bytes.find` hit of the least count
+    present is the minimum, and the word at the hit's place in that order
+    its smallest witness.
     """
+    k = min(k, n + 2)
     size = 1 << n
     # (top word, word bitset) of every j-chain, grown by one strict superset at a time
     chains = [(w, 1 << w) for w in range(size)]
@@ -97,14 +94,13 @@ def _exact_sweep(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     counts = _zeta(int.from_bytes(marks, "little"), _pass_masks(size, 1)).to_bytes(1 << size, "little")
     h = size >> 1
     ncols, nrows = 1 << h, 1 << (size - h)
-    halves = _half_rows(h)
     # the columns of popcount b are at starts[b]:starts[b + 1] of each row
-    starts = [0, *accumulate(map(len, halves))]
-    by_column = b"".join(counts[c::ncols] for c in chain.from_iterable(halves))
+    starts = [0, *accumulate(math.comb(h, b) for b in range(h + 1))]
+    by_column = b"".join(counts[c::ncols] for c in sorted(range(ncols), key=int.bit_count))
     table = b"".join(by_column[r::nrows] for r in range(nrows))
     runs: list[list[bytes]] = [[] for _ in range(size + 1)]
-    for r, a in enumerate(_popcounts(size - h)):
-        base = r << h
+    for r in range(nrows):
+        a, base = r.bit_count(), r << h
         for b in range(h + 1):
             runs[a + b].append(table[base + starts[b] : base + starts[b + 1]])
     mins, wits = [], []

@@ -220,8 +220,6 @@ def theorem_suite(seed: int = 2024) -> list[Check]:
     for n in (4, 5):
         dec = scd_inductive(n)
         for k in range(1, 5):
-            if k > n + 1:
-                continue
             for _ in range(50):
                 chain = _random_chain(rng, n, k)
                 levels = tuple(w.bit_count() for w in chain)

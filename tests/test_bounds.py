@@ -466,8 +466,6 @@ def test_extremal_family_matches_the_per_word_rules_on_random_selections():
 def test_extremal_family_at_the_cap_holds_two_masks_at_most():
     import tracemalloc
 
-    from supersat import core
-
     from supersat.oracle import centered_family
 
     # whole added rows, whose cut lies near the table's end, one set, and a
@@ -478,8 +476,6 @@ def test_extremal_family_at_the_cap_holds_two_masks_at_most():
         (lambda: build_extremal_family(20, 3, 1), sigma(20, 2) + 1),
         (lambda: centered_family(20, sigma(20, 1) + 80000), sigma(20, 1) + 80000),
     ]:
-        # empty the half-word cache, so that its tables count toward the peak
-        core._half_rows.cache_clear()
         tracemalloc.start()
         try:
             fam = build()

@@ -241,9 +241,10 @@ def test_mask_check_allocates_no_copy_of_the_mask():
 
 
 def test_ground_set_is_checked_before_any_allocation():
-    # n = 64 would ask for 2^64 bytes if the mask were allocated first, and
-    # 2^32 words of half-word tables for a row; the rows of n = 1 are cached
-    # first, so that n = True would find them if the cache took it for 1
+    # every builder checks n before it allocates: n = 64 would ask for 2^64
+    # bytes if the mask came first, and 2^32 words of half-word rows for a
+    # level.  n = True is refused though it equals 1, whose two levels, read
+    # first, come out whole
     assert [list(level_words(1, lvl)) for lvl in (0, 1)] == [[0], [1]]
     rows = (lambda n: level_words(n, 0), lambda n: level_words(n, 1))
     for n in (0, 21, 64, True, -1):

@@ -381,7 +381,17 @@ def test_kleitman_rows_match_the_public_functions():
 
 
 def test_construction_count_prefers_better_side():
-    for n, k in ((4, 2), (5, 2), (5, 3)):
-        for m in range(0, (1 << n) + 1, 3):
-            best = construction_count(n, k, m)
-            assert best <= count_k_chains(centered_family(n, m), k)
+    # the better side's count is always the default side's: the mirrored side
+    # never counts lower.  A chain holds at most one set of the partial row,
+    # so a side on row r counts N_k(block) + x * D(r), where D(r) counts the
+    # (k - 1)-chains of the block that lie inside one set of row r, or that
+    # contain it.  That is the count in the j levels just below the top of a
+    # cube: of dimension hi + 1 for the row above the block, and n - lo + 1
+    # for the row below, and it grows with the dimension.  The middle-out row
+    # is always on the side with the smaller dimension, and a symmetric block
+    # makes the two equal
+    for n in range(1, 9):
+        for k in range(1, 6):
+            for m in range((1 << n) + 1):
+                default = count_k_chains(centered_family(n, m), k)
+                assert construction_count(n, k, m) == default, (n, k, m)
