@@ -23,6 +23,7 @@ _HOME = {
             "level",
             "middle_levels",
             "parse_family",
+            "read_family",
             "serialize_family",
             "sigma",
         ),

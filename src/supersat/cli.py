@@ -1,6 +1,7 @@
 """Command-line front end.  JSON results go to stdout, diagnostics to
 stderr; exact integers above the 53-bit float-safe range are serialized as
-decimal strings.
+decimal strings.  `count` reads its family file through
+`supersat.core.read_family`, which owns the file format, bytes included.
 
 Exit codes: 0 ok, 1 verify-suite failure, 2 usage error, 3 precondition
 violation, 4 file error, 5 family-format error.
@@ -17,7 +18,6 @@ from supersat import __version__
 if TYPE_CHECKING:
     from typing import Optional, Sequence
 
-    from supersat.core import Family
     from supersat.scd import Permutation
 
 EXIT_OK = 0
@@ -53,52 +53,6 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-class _Utf8Text:
-    """A binary file read as UTF-8 text, one `read(size)` chunk at a time,
-    for `parse_family`.  A leading byte-order mark is dropped (one anywhere
-    else stays a format error), and newlines are universal, as in text
-    mode, so a lone-"\\r" file still streams in slices.  `fed` counts the
-    bytes given to the decoder, which turns the position of a decode error
-    in the bytes of its last call into one in the file."""
-
-    def __init__(self, raw) -> None:
-        from codecs import BOM_UTF8, getincrementaldecoder
-        from io import IncrementalNewlineDecoder
-
-        self.raw, self.head, self.fed = raw, raw.read(3).removeprefix(BOM_UTF8), 0
-        self.decode = IncrementalNewlineDecoder(getincrementaldecoder("utf-8")(), True).decode
-
-    def read(self, size: int) -> str:
-        data, self.head = self.head + self.raw.read(size), b""
-        self.fed += len(data)
-        # a short read is the end of the file, where no byte may be held back
-        return self.decode(data, len(data) < size)
-
-
-def _read_family(path: str) -> Family:
-    """The family in the file at `path`.  A file that is not UTF-8 raises a
-    format error that names the first bad byte's offset in the file, as a
-    decode of the whole file does, even after an earlier format error;
-    nothing is read twice, so a pipe reports the same offset."""
-    from supersat.core import _SLICE_CHARS, FamilyFormatError, parse_family
-
-    with open(path, "rb") as handle:
-        text = _Utf8Text(handle)
-        try:
-            try:
-                return parse_family(text)
-            except FamilyFormatError:
-                while text.read(_SLICE_CHARS):  # a bad byte anywhere in the file wins
-                    pass
-                raise
-        except UnicodeDecodeError as exc:
-            # exc.object is the bytes of the failing call, the few held back from the call before included
-            at, span = text.fed - len(exc.object) + exc.start, exc.end - exc.start
-            what = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if span == 1
-                    else f"bytes in position {at}-{at + span - 1}")
-            raise FamilyFormatError(f"{path}: not UTF-8 text ('utf-8' codec can't decode {what}: {exc.reason})") from None
-
-
 def _cmd_bound(args) -> int:
     from supersat.bounds import bound_report
 
@@ -115,10 +69,10 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from supersat.core import read_family
     from supersat.counting import count_k_chains
 
-    family = _read_family(args.family)
-    _emit({"count": count_k_chains(family, args.k)})
+    _emit({"count": count_k_chains(read_family(args.family), args.k)})
     return EXIT_OK
 
 

@@ -1,5 +1,7 @@
 """Subset-lattice basics: subsets as bit words, families of subsets,
-binomials, middle-level families, and the family text format.
+binomials, middle-level families, and the family file format, from a
+file's bytes (`read_family`) through its text (`parse_family`) to a
+`Family` and back (`serialize_family`).
 
 A subset of [n] = {1, ..., n} is an n-bit integer word with bit i-1 set
 iff element i is in the subset.  A family is its membership mask, one 0/1
@@ -10,7 +12,9 @@ membership int.
 from __future__ import annotations
 
 import math
+from codecs import BOM_UTF8, getincrementaldecoder
 from functools import partial
+from io import IncrementalNewlineDecoder
 from itertools import chain, compress, count
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
@@ -421,7 +425,9 @@ def _text_slices(chunks: Iterable[str]) -> Iterator[str]:
 
 
 def parse_family(source: str | TextIO) -> Family:
-    """Parse the family file format from a string or a text stream.
+    """Parse the family file format from a string or a text stream.  A
+    file is read by `read_family`, which decodes its bytes by the format's
+    rules and hands the text to this function.
 
     First non-comment line is `n=<decimal>`; each later line is one subset
     as space-separated decimal elements of [1, n] (any order) or `-` for
@@ -523,3 +529,47 @@ def _line_word(parts: list[str], lineno: int, n: int) -> int:
             raise MalformedLine(f"line {lineno}: repeated element {e}")
         word |= bit
     return word
+
+
+class _Utf8Text:
+    """A binary file read as UTF-8 text, one `read(size)` chunk at a time,
+    for `parse_family`.  A leading byte-order mark is dropped (one anywhere
+    else stays a format error), and newlines are universal, as in text
+    mode, so a lone-"\\r" file still streams in slices.  `fed` counts the
+    bytes given to the decoder, which turns the position of a decode error
+    in the bytes of its last call into one in the file."""
+
+    def __init__(self, raw) -> None:
+        self.raw, self.head, self.fed = raw, raw.read(3).removeprefix(BOM_UTF8), 0
+        self.decode = IncrementalNewlineDecoder(getincrementaldecoder("utf-8")(), True).decode
+
+    def read(self, size: int) -> str:
+        data, self.head = self.head + self.raw.read(size), b""
+        self.fed += len(data)
+        # a short read is the end of the file, where no byte may be held back
+        return self.decode(data, len(data) < size)
+
+
+def read_family(path: str) -> Family:
+    """The family in the family file at `path`, read in binary and parsed
+    by `parse_family` one chunk at a time, so the file's text is never held
+    whole.  The file is UTF-8: a leading byte-order mark is dropped, and a
+    byte that is not UTF-8 raises a `FamilyFormatError` that names its
+    offset in the file, as a decode of the whole file does, even after an
+    earlier format error; nothing is read twice, so a pipe reports the same
+    offset.  An `OSError` from opening or reading the file propagates."""
+    with open(path, "rb") as handle:
+        text = _Utf8Text(handle)
+        try:
+            try:
+                return parse_family(text)
+            except FamilyFormatError:
+                while text.read(_SLICE_CHARS):  # a bad byte anywhere in the file wins
+                    pass
+                raise
+        except UnicodeDecodeError as exc:
+            # exc.object is the bytes of the failing call, the few held back from the call before included
+            at, span = text.fed - len(exc.object) + exc.start, exc.end - exc.start
+            what = (f"byte 0x{exc.object[exc.start]:02x} in position {at}" if span == 1
+                    else f"bytes in position {at}-{at + span - 1}")
+            raise FamilyFormatError(f"{path}: not UTF-8 text ('utf-8' codec can't decode {what}: {exc.reason})") from None

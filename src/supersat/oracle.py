@@ -60,8 +60,9 @@ def _exact_table(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     every family's k-chain count at its own index.  Returns (mins,
     witnesses) indexed by family size m; the witness is the smallest
     membership bitset attaining the minimum.  No chain of [n] has more than
-    n + 1 sets, so a k > n + 1 is answered as k = n + 2, whose chain list
-    runs out on its last step.
+    n + 1 sets, so the k = n + 2 table, whose chain list runs out on its
+    last step, answers every k > n + 1, and a k > n + 2 returns that
+    table's own cached objects.
 
     The minima are read without a Python loop over the families.  Family
     f = (r << h) | c sits in row r, column c of the table, h = 2^n // 2.
@@ -74,7 +75,8 @@ def _exact_table(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     present is the minimum, and the word at the hit's place in that order
     its smallest witness.
     """
-    k = min(k, n + 2)
+    if k > n + 2:
+        return _exact_table(n, n + 2)
     size = 1 << n
     # (top word, word bitset) of every j-chain, grown by one strict superset at a time
     chains = [(w, 1 << w) for w in range(size)]

@@ -5,7 +5,10 @@ Criterion 7 checks the sharp form of the y/z minimization: the closed-form
 product is attained at the predicted minimizer, and every level tuple whose
 max{y, z} falls below it contains both level 0 and level n.  The closed form
 is not a lower bound over EVERY tuple: such full-span tuples escape both
-single-step reductions, and already max{y, z} = 1 at (0, n).
+single-step reductions, and already max{y, z} = 1 at (0, n).  A second
+criterion-7 test checks that the bound still holds, exhaustively at n <= 4,
+on the families that hold both the empty set and [n], where the proof's
+averaging step falls short.
 """
 
 import random
@@ -14,7 +17,7 @@ from itertools import combinations
 
 from supersat.core import Family, binom, sigma
 from supersat.scd import scd_bracketing, scd_inductive, validate_scd
-from supersat.counting import count_included_chains, count_k_chains, count_k_chains_naive
+from supersat.counting import _pass_masks, _zeta, count_included_chains, count_k_chains, count_k_chains_naive
 from supersat.bounds import (
     min_max_yz,
     min_max_yz_minimizer,
@@ -167,6 +170,42 @@ def test_criterion_07_yz_minimization_over_all_tuples():
         "tuples not containing both level 0 and level n fall below the closed "
         f"form: {off_span_dips[:8]} ..."
     )
+
+
+def test_theorem_holds_on_families_holding_both_ends():
+    # the averaging step proves less than x * Pi for a family with a k-chain
+    # through both the empty set and [n], the full-span tuples of criterion
+    # 07; over every family of B_n, n <= 4, that holds both, the least
+    # count of each size sigma(n, k - 1) + x still meets the bound, with
+    # equality only at k = n + 1, where the one full chain has Pi = n!
+    start = time.monotonic()
+    failures, least = [], {}
+    for n in range(1, 5):
+        size = 1 << n
+        both = 1 | 1 << (size - 1)
+        families = [f for f in range(1 << size) if f & both == both]
+        for k in range(2, n + 2):
+            # every family's k-chain count by one subset-zeta transform over
+            # the word sets of the k-chains of B_n; none has over 255 of them
+            marks = bytearray(1 << size)
+            for chain in combinations(range(size), k):
+                if all(a & b == a for a, b in zip(chain, chain[1:])):
+                    marks[sum(1 << w for w in chain)] = 1
+            counts = _zeta(int.from_bytes(marks, "little"), _pass_masks(size, 1)).to_bytes(1 << size, "little")
+            threshold = sigma(n, k - 1)
+            for f in families:
+                x = f.bit_count() - threshold
+                if 1 <= x <= tight_x_max(n, k):
+                    least[n, k, x] = min(least.get((n, k, x), counts[f]), counts[f])
+            for x in range(1, tight_x_max(n, k) + 1):
+                bound = supersat_bound(n, k, x)
+                if least[n, k, x] < bound or (least[n, k, x] == bound) != (k == n + 1):
+                    failures.append((n, k, x, least[n, k, x], bound))
+    elapsed = time.monotonic() - start
+    announce(7, not failures, "bound holds on families holding both ends, n <= 4", elapsed)
+    assert not failures, failures
+    rows = {k: [least[4, k, x] for x in range(1, tight_x_max(4, k) + 1)] for k in range(2, 6)}
+    assert rows == {2: [11, 13, 18, 23], 3: [27, 34, 53, 72], 4: [66], 5: [24]}
 
 
 def test_criterion_08_binomial_identity_exhaustive():

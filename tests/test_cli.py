@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from supersat import cli
+from supersat import core
 from supersat.cli import main
-from supersat.core import binom, parse_family, serialize_family, build_b_family
+from supersat.core import FamilyFormatError, binom, parse_family, read_family, serialize_family, build_b_family
 from supersat.counting import count_k_chains
 from supersat.bounds import build_extremal_family, supersat_bound
 
@@ -22,6 +22,13 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def read_error(path) -> str:
+    """The format error `read_family` raises on the file at `path`, as `count` prints it."""
+    with pytest.raises(FamilyFormatError) as info:
+        read_family(str(path))
+    return f"error: {info.value}\n"
 
 
 def test_bound_payload(capsys):
@@ -124,6 +131,7 @@ def test_count_non_utf8_family_is_format_error(tmp_path, capsys):
     assert out == ""
     assert err == (f"error: {path}: not UTF-8 text ('utf-8' codec can't decode byte 0xe9"
                    " in position 9: invalid continuation byte)\n")
+    assert read_error(path) == err
 
 
 @pytest.mark.parametrize("case", ["late bad byte", "duplicate first", "truncated at the end", "a cut-short mark"])
@@ -146,6 +154,7 @@ def test_count_reports_a_bad_byte_as_a_whole_file_read_does(tmp_path, capsys, ca
     code, out, err = run_cli(capsys, "count", "--k", "3", "--family", str(path))
     assert (code, out) == (5, "")
     assert err == f"error: {path}: not UTF-8 text ('utf-8' codec can't decode {want})\n"
+    assert read_error(path) == err
 
 
 @pytest.mark.parametrize("name", ["dup.fam", "late.bad", "latin1.fam"])
@@ -166,8 +175,10 @@ def test_count_reads_no_error_path_whole(family_dir, capsys, monkeypatch, name):
         def seek(self, *args):
             raise AssertionError("a second read")
 
-    monkeypatch.setattr(cli, "open", lambda file, mode: SizedReads(io.FileIO(file)), raising=False)
+    monkeypatch.setattr(core, "open", lambda file, mode: SizedReads(io.FileIO(file)), raising=False)
     assert run_cli(capsys, *argv) == want
+    # the library reader, under the same patch, raises the error `count` prints
+    assert read_error(family_dir / name) == want[2]
 
 
 def test_count_accepts_a_leading_byte_order_mark(tmp_path, capsys):
@@ -178,6 +189,7 @@ def test_count_accepts_a_leading_byte_order_mark(tmp_path, capsys):
     want = run_json(capsys, "count", "--k", "3", "--family", str(plain))
     assert run_json(capsys, "count", "--k", "3", "--family", str(marked)) == want
     assert want == {"count": supersat_bound(6, 3, 4)}
+    assert read_family(str(marked)) == read_family(str(plain)) == parse_family(text)
 
 
 @pytest.mark.parametrize(
@@ -195,6 +207,7 @@ def test_count_rejects_a_byte_order_mark_past_the_start(tmp_path, capsys, text, 
     code, out, err = run_cli(capsys, "count", "--k", "2", "--family", str(path))
     assert (code, out) == (5, "")
     assert message in err
+    assert read_error(path) == err
 
 
 def test_count_non_decimal_element_is_format_error(tmp_path, capsys):

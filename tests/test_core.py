@@ -25,6 +25,7 @@ from supersat.core import (
     level_words,
     middle_levels,
     parse_family,
+    read_family,
     serialize_family,
     sigma,
 )
@@ -494,6 +495,13 @@ def test_streamed_parse_matches_the_whole_text(family_dir, monkeypatch, name):
                 slices = list(core._text_slices(iter(partial(handle.read, chars), "")))
             assert all(len(piece) >= chars and piece.endswith("\n") for piece in slices[:-1])
             assert list(chain.from_iterable(map(str.splitlines, slices))) == text.splitlines()
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+def test_read_family_matches_parse_family_on_the_decoded_text(family_dir, name):
+    # the file's bytes, byte-order mark dropped, decode to the text that parse_family reads
+    path = family_dir / name
+    assert read_family(str(path)) == parse_family(path.read_bytes().decode("utf-8-sig"))
 
 
 def test_head_tables_invert_the_serialized_lines():

@@ -116,6 +116,9 @@ def test_exact_results_past_the_longest_chain_read_the_k_n_plus_2_table():
     assert max_free_family(4, 10**9) == max_free_family(4, 6) == (16, Family.full(4))
     assert all(row.equal and row.min_count == 0 for row in kleitman_report(4, 10**9))
     assert time.perf_counter() - start < 0.5
+    # every such k returns the one k = n + 2 table, built once
+    oracle._exact_table.cache_clear()
+    assert oracle._exact_table(4, 10**9) is oracle._exact_table(4, 6)
 
 
 def test_exact_minimum_is_monotone_in_size():
