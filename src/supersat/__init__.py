@@ -20,7 +20,6 @@ _HOME = {
             "LevelInterval",
             "binom",
             "build_b_family",
-            "level",
             "middle_levels",
             "parse_family",
             "read_family",
@@ -38,7 +37,6 @@ _HOME = {
             "bracketing_chain_of",
             "chain_through",
             "permute_decomposition",
-            "scd_bracketing",
             "scd_inductive",
             "validate_scd",
         ),
@@ -62,7 +60,6 @@ _HOME = {
             "bound_report",
             "build_extremal_family",
             "min_max_yz",
-            "min_max_yz_exhaustive",
             "min_max_yz_minimizer",
             "min_max_yz_verification",
             "n_permutations_enumerate",

@@ -242,17 +242,6 @@ def min_max_yz_verification(n: int, k: int) -> MinMaxYZReport:
     )
 
 
-def min_max_yz_exhaustive(n: int, k: int) -> tuple[int, tuple[int, ...]]:
-    """Verification mode: minimize max{y, z} over every k-level tuple.
-
-    Returns the true minimum and its lexicographically smallest witness,
-    the `exhaustive_min` and `exhaustive_argmin` of
-    `min_max_yz_verification`, whose one sweep decides both.
-    """
-    report = min_max_yz_verification(n, k)
-    return report.exhaustive_min, report.exhaustive_argmin
-
-
 def build_extremal_family(
     n: int, k: int, x: int, selector: Optional[Selector] = None
 ) -> Family:

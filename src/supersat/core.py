@@ -66,11 +66,6 @@ def binom(n: int, j: int) -> int:
     return math.comb(n, j)
 
 
-def level(word: int) -> int:
-    """Cardinality of the subset encoded by `word`."""
-    return word.bit_count()
-
-
 def elements_of_word(word: int) -> list[int]:
     out = []
     while word:
@@ -304,7 +299,7 @@ def _rows_family(n: int, rows: LevelInterval, words: Iterable[int] | None = None
             if w >> n or marked[w] != row:
                 check_word(w, n)
                 if marked[w] != 255:
-                    raise ValueError(f"selector returned a set of size {level(w)}, expected {row}")
+                    raise ValueError(f"selector returned a set of size {w.bit_count()}, expected {row}")
                 repeats += 1
             marked[w] = 255
             taken += 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from supersat.core import Family, binom, level
+from supersat.core import Family, binom
 
 if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator
@@ -214,7 +214,7 @@ def count_k_chains_naive(family: Family, k: int) -> int:
     if k > family.n + 1:
         return 0
     # ordered by level, every strict superset of a member comes after it
-    members = sorted(family.words(), key=lambda w: (level(w), w))
+    members = sorted(family.words(), key=lambda w: (w.bit_count(), w))
     if k == 1:
         return len(members)
     above = {w: [v for v in members[i + 1 :] if (w & v) == w] for i, w in enumerate(members)}

@@ -178,8 +178,20 @@ def scd_inductive(n: int) -> Decomposition:
     (S_m, ..., S_t) over [n - 1] becomes (S_m, ..., S_t, S_t + n) and, when
     it has at least two sets, (S_m + n, ..., S_{t-1} + n).
 
-    The bracket rule gives the same chains (the proof is in
-    `scd_bracketing`), so they are made by `_scd_chains`, in order.
+    The bracket-matching rule of Greene and Kleitman (1976) gives the same
+    chains, so they are made by `_scd_chains`, in order.
+
+    Why the rules agree, by induction on n.  Read element i as ')' when
+    present and '(' when absent, and add element m as the rightmost bracket
+    to a word S whose bracket chain over [m-1] is (S_0, ..., S_t).  If m is
+    absent, its '(' is unmatched, so the chain through S gains S_t + m: the
+    first inductive child.  If m is present, its ')' matches the last
+    unmatched '(' of S when there is one, so the chain becomes (S_0 + m, ...,
+    S_{t-1} + m): the second child.  Otherwise S = S_t, the ')' stays
+    unmatched and S + m = S_t + m lies on the first child.  At n = 1 both
+    rules give the chain (empty, {1}).  `bracketing_chain_of` applies the
+    rule word by word; the tests keep the doubling rule as the oracle that
+    shares no code with either.
     """
     return Decomposition(n, _scd_chains(n))
 
@@ -197,27 +209,6 @@ def bracketing_chain_of(n: int, word: int) -> Chain:
     check_word(word, n)
     closers, openers = _brackets(word, n)
     return tuple(accumulate(closers + openers, or_, initial=word - sum(closers)))
-
-
-def scd_bracketing(n: int) -> Decomposition:
-    """Symmetric chain decomposition from the bracket-matching rule of
-    Greene and Kleitman (1976).  It is the decomposition `scd_inductive`
-    names, and the proof below is why `scd_inductive` may build it by this
-    rule.
-
-    Why the rules agree, by induction on n.  Read element i as ')' when
-    present and '(' when absent, and add element m as the rightmost bracket
-    to a word S whose bracket chain over [m-1] is (S_0, ..., S_t).  If m is
-    absent, its '(' is unmatched, so the chain through S gains S_t + m: the
-    first inductive child.  If m is present, its ')' matches the last
-    unmatched '(' of S when there is one, so the chain becomes (S_0 + m, ...,
-    S_{t-1} + m): the second child.  Otherwise S = S_t, the ')' stays
-    unmatched and S + m = S_t + m lies on the first child.  At n = 1 both
-    rules give the chain (empty, {1}).  `bracketing_chain_of` applies the
-    rule word by word; the tests keep the doubling rule as the oracle that
-    shares no code with either.
-    """
-    return scd_inductive(n)
 
 
 class ScdValidation(NamedTuple):

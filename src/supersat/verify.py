@@ -14,7 +14,6 @@ from supersat.scd import (
     _first_chains,
     bracketing_chain_of,
     permute_decomposition,
-    scd_bracketing,
     scd_inductive,
     validate_scd,
 )
@@ -67,9 +66,8 @@ def _random_chain(rng: random.Random, n: int, k: int) -> tuple[int, ...]:
 
 def scd_suite() -> list[Check]:
     """Deterministic: it draws nothing at random, so it takes no seed.
-    `scd_bracketing` is `scd_inductive`, so only the inductive SCD is
-    validated; `constructions_comparison` checks `scd_bracketing` against
-    the bracket rule applied word by word."""
+    There is one SCD, `scd_inductive`; `constructions_comparison` checks
+    it against the bracket rule applied word by word."""
     checks = []
 
     bad = []
@@ -139,7 +137,7 @@ def scd_suite() -> list[Check]:
     compare_ok = True
     detail = "inductive and bracketing chains coincide for n in [1, 2, 3, 4, 5, 6, 7, 8]"
     for n in range(1, 9):
-        dec = scd_bracketing(n)
+        dec = scd_inductive(n)
         first = _first_chains(dec)
         for w in range(1 << n):
             want = bracketing_chain_of(n, w)

@@ -16,7 +16,7 @@ import time
 from itertools import combinations
 
 from supersat.core import Family, binom, sigma
-from supersat.scd import scd_bracketing, scd_inductive, validate_scd
+from supersat.scd import scd_inductive, validate_scd
 from supersat.counting import _pass_masks, _zeta, count_included_chains, count_k_chains, count_k_chains_naive
 from supersat.bounds import (
     min_max_yz,
@@ -87,19 +87,19 @@ def test_criterion_04_permutation_count_triple_agreement():
     rng = random.Random(404)
     mismatches = []
     for n in (4, 5, 6):
-        decs = (scd_inductive(n), scd_bracketing(n))
+        dec = scd_inductive(n)
         for k in (1, 2, 3, 4):
             for _ in range(200):
                 chain = random_chain(rng, n, k)
                 levels = tuple(w.bit_count() for w in chain)
-                values = {n_permutations_enumerate(dec, chain) for dec in decs}
+                values = {n_permutations_enumerate(dec, chain)}
                 values.add(n_permutations_factorial(n, levels))
                 values.add(n_permutations_ratio(n, levels))
                 if len(values) != 1:
                     mismatches.append((n, chain, values))
     elapsed = time.monotonic() - start
     ok = not mismatches and elapsed < 300
-    announce(4, ok, "closed forms match brute force on 200 chains per (n, k), both SCDs", elapsed)
+    announce(4, ok, "closed forms match brute force on 200 chains per (n, k)", elapsed)
     assert not mismatches, mismatches[:5]
     assert elapsed < 300
 
@@ -108,14 +108,13 @@ def test_criterion_05_scd_validity_through_n14():
     start = time.monotonic()
     failures = []
     for n in range(1, 15):
-        for name, build in (("inductive", scd_inductive), ("bracketing", scd_bracketing)):
-            dec = build(n)
-            report = validate_scd(dec)
-            if not report.ok or len(dec.chains) != binom(n, n // 2):
-                failures.append((name, n, report.problems))
+        dec = scd_inductive(n)
+        report = validate_scd(dec)
+        if not report.ok or len(dec.chains) != binom(n, n // 2):
+            failures.append((n, report.problems))
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 30
-    announce(5, ok, "both constructions pass every SCD check for n <= 14", elapsed)
+    announce(5, ok, "the SCD passes every check for n <= 14", elapsed)
     assert not failures, failures
     assert elapsed < 30
 
@@ -252,16 +251,15 @@ def test_criterion_11_pigeonhole_inequality():
     start = time.monotonic()
     rng = random.Random(1111)
     violations = []
-    decs = {n: (scd_inductive(n), scd_bracketing(n)) for n in range(2, 11)}
+    decs = {n: scd_inductive(n) for n in range(2, 11)}
     for _ in range(500):
         n = rng.randint(2, 10)
         k = rng.randint(2, min(4, n + 1))
         threshold = sigma(n, k - 1)
         x = rng.randint(0, (1 << n) - threshold)
         fam = Family.from_words(n, rng.sample(range(1 << n), threshold + x))
-        for dec in decs[n]:
-            if count_included_chains(fam, dec, k) < x:
-                violations.append((n, k, x))
+        if count_included_chains(fam, decs[n], k) < x:
+            violations.append((n, k, x))
     elapsed = time.monotonic() - start
-    announce(11, not violations, "500 random families force x chains onto both SCDs", elapsed)
+    announce(11, not violations, "500 random families force x chains onto the SCD", elapsed)
     assert not violations, violations

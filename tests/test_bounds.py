@@ -4,9 +4,10 @@ from itertools import combinations, permutations
 
 import pytest
 
+from conftest import traced_peak
 from supersat.core import Family, LevelInterval, binom, build_b_family, level_words, middle_levels, sigma
 from supersat.counting import count_k_chains
-from supersat.scd import Permutation, chain_through, permute_decomposition, scd_bracketing, scd_inductive
+from supersat.scd import Permutation, chain_through, permute_decomposition, scd_inductive
 from supersat.bounds import (
     added_row_level,
     binomial_identity_holds,
@@ -14,7 +15,6 @@ from supersat.bounds import (
     build_extremal_family,
     middle_rows,
     min_max_yz,
-    min_max_yz_exhaustive,
     min_max_yz_minimizer,
     min_max_yz_verification,
     n_permutations_enumerate,
@@ -132,7 +132,7 @@ def test_enumerate_rejects_non_chains():
     with pytest.raises(ValueError):
         n_permutations_enumerate(scd_inductive(3), ())
     with pytest.raises(ValueError):
-        n_permutations_enumerate(scd_bracketing(8), (0b1, 0b11))
+        n_permutations_enumerate(scd_inductive(8), (0b1, 0b11))
 
 
 def test_ratio_equals_factorial_everywhere():
@@ -145,12 +145,12 @@ def test_ratio_equals_factorial_everywhere():
 def test_closed_forms_match_enumeration_on_random_chains():
     rng = random.Random(23)
     for n, samples in ((4, 40), (5, 40), (7, 12)):
-        decs = (scd_inductive(n), scd_bracketing(n))
+        dec = scd_inductive(n)
         for k in range(1, 5):
             for _ in range(samples):
                 chain = random_chain(rng, n, k)
                 levels = tuple(w.bit_count() for w in chain)
-                values = {n_permutations_enumerate(dec, chain) for dec in decs}
+                values = {n_permutations_enumerate(dec, chain)}
                 values.add(n_permutations_factorial(n, levels))
                 values.add(n_permutations_ratio(n, levels))
                 assert len(values) == 1, (n, chain, values)
@@ -252,13 +252,11 @@ def test_verification_report_agrees_with_exhaustive_minimum():
             want = min((max(yz(n, t)), t) for t in combinations(range(n + 1), k))
             report = min_max_yz_verification(n, k)
             assert (report.exhaustive_min, report.exhaustive_argmin) == want, (n, k)
-            assert min_max_yz_exhaustive(n, k) == want, (n, k)
 
 
 def test_full_span_pair_dips_below_closed_form():
-    exhaustive_min, argmin = min_max_yz_exhaustive(4, 2)
-    assert (exhaustive_min, argmin) == (1, (0, 4))
     report = min_max_yz_verification(4, 2)
+    assert (report.exhaustive_min, report.exhaustive_argmin) == (1, (0, 4))
     assert not report.confirmed
     assert report.below_closed_form == ((0, 4),)
 
@@ -464,25 +462,21 @@ def test_extremal_family_matches_the_per_word_rules_on_random_selections():
 
 
 def test_extremal_family_at_the_cap_holds_two_masks_at_most():
-    import tracemalloc
-
-    from supersat.oracle import centered_family
-
+    setup = """
+        from supersat.bounds import build_extremal_family, tight_x_max
+        from supersat.core import sigma
+        from supersat.oracle import centered_family
+        """
     # whole added rows, whose cut lies near the table's end, one set, and a
-    # centered family whose 80,000 sets cut row 11 mid-way
+    # centered family whose 80,000 sets cut row 11 mid-way; each in a fresh interpreter
     for build, size in [
-        (lambda: build_extremal_family(20, 2, tight_x_max(20, 2)), 352716),
-        (lambda: build_extremal_family(20, 4, 125970), sigma(20, 3) + 125970),
-        (lambda: build_extremal_family(20, 3, 1), sigma(20, 2) + 1),
-        (lambda: centered_family(20, sigma(20, 1) + 80000), sigma(20, 1) + 80000),
+        ("build_extremal_family(20, 2, tight_x_max(20, 2))", 352716),
+        ("build_extremal_family(20, 4, 125970)", sigma(20, 3) + 125970),
+        ("build_extremal_family(20, 3, 1)", sigma(20, 2) + 1),
+        ("centered_family(20, sigma(20, 1) + 80000)", sigma(20, 1) + 80000),
     ]:
-        tracemalloc.start()
-        try:
-            fam = build()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert fam.size() == size
+        peak, got = traced_peak(setup, f"fam = {build}", "fam.size()")
+        assert got == size, build
         assert peak <= 2 * (1 << 20) + 256 * 1024, (size, peak)
 
 

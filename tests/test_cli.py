@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conftest import traced_peak
 from supersat import core
 from supersat.cli import main
 from supersat.core import FamilyFormatError, binom, parse_family, read_family, serialize_family, build_b_family
@@ -81,23 +82,18 @@ def test_construct_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsy
     assert out == serialize_family(build_extremal_family(n, k, x))
 
 
-def test_construct_holds_one_block_of_text_at_a_time(tmp_path, capsys):
-    import tracemalloc
-
-    # imported first, so that the trace sees only the command's own work
-    import json  # noqa: F401
-
-    import supersat.bounds  # noqa: F401
-
+def test_construct_holds_one_block_of_text_at_a_time(tmp_path):
     path = tmp_path / "fam.txt"
     argv = ["construct", "--n", "16", "--k", "5", "--x", "4004", "--out", str(path)]
-    tracemalloc.start()
-    try:
-        code = main(argv)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    capsys.readouterr()
+    # imported first, so that the trace sees only the command's own work;
+    # argparse's messages import locale through gettext on first use
+    setup = """
+        import json
+        import locale
+        import supersat.bounds
+        from supersat.cli import main
+        """
+    peak, code = traced_peak(setup, f"code = main({argv!r})", "code")
     assert code == 0
     # the whole text at once, as one string and its encoding, would be twice the file
     assert peak < path.stat().st_size / 4, (peak, path.stat().st_size)
@@ -504,11 +500,12 @@ def test_verify_scd_compares_against_the_bracket_rule(monkeypatch, capsys):
         # a valid SCD, but not the one the bracket rule gives
         return scd.permute_decomposition(dec, scd.Permutation((2, 1) + tuple(range(3, n + 1))))
 
-    monkeypatch.setattr(verify, "scd_bracketing", permuted)
+    monkeypatch.setattr(verify, "scd_inductive", permuted)
     code, out, _ = run_cli(capsys, "verify", "--suite", "scd")
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert code == 1
-    # scd_bracketing is scd_inductive, so only the inductive SCD is validated
+    # there is one SCD, and a permuted SCD is still a valid one: only the
+    # comparison with the bracket rule applied word by word fails
     assert "bracketing_valid_through_n8" not in checks
     assert checks["inductive_valid_through_n8"]["ok"]
     assert not checks["constructions_comparison"]["ok"]

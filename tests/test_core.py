@@ -1,11 +1,11 @@
 import random
 from functools import partial
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import LAYOUTS
+from conftest import LAYOUTS, traced_peak
 from supersat import core
 from supersat.bounds import build_extremal_family
 from supersat.core import (
@@ -149,8 +149,6 @@ def test_level_words_are_colex_sorted_and_complete():
 
 
 def test_level_words_prefix_is_lazy():
-    import tracemalloc
-
     # the first words of the middle row at the cap, as Gosper's hack steps them
     want, v = [], (1 << 10) - 1
     for _ in range(5):
@@ -158,12 +156,11 @@ def test_level_words_prefix_is_lazy():
         c = v & -v
         r = v + c
         v = (((v ^ r) >> 2) // c) | r
-    tracemalloc.start()
-    try:
-        got = list(islice(level_words(20, 10), 5))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    setup = """
+        from itertools import islice
+        from supersat.core import level_words
+        """
+    peak, got = traced_peak(setup, "got = list(islice(level_words(20, 10), 5))", "got")
     assert got == want
     # the whole row would be 184,756 ints, over 5 MiB; the half-word tables are about 0.1 MiB
     assert peak < 1 << 20, peak
@@ -228,16 +225,12 @@ def test_constructor_rejects_a_bad_mask():
 
 
 def test_mask_check_allocates_no_copy_of_the_mask():
-    import tracemalloc
-
-    mask = bytes(range(2)) * (1 << 15)
-    tracemalloc.start()
-    try:
-        fam = Family(16, mask)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert fam.size() == 1 << 15
+    setup = """
+        from supersat.core import Family
+        mask = bytes(range(2)) * (1 << 15)
+        """
+    peak, size = traced_peak(setup, "fam = Family(16, mask)", "fam.size()")
+    assert size == 1 << 15
     assert peak < 1024, peak
 
 

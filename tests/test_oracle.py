@@ -3,7 +3,7 @@ from itertools import combinations, islice
 import pytest
 
 from supersat import oracle
-from supersat.core import Family, _rows_family, binom, level, level_words, sigma
+from supersat.core import Family, _rows_family, binom, level_words, sigma
 from supersat.counting import _pass_masks, _zeta, count_k_chains, count_k_chains_naive
 from supersat.bounds import middle_rows, supersat_bound, tight_x_max, build_extremal_family
 from supersat.oracle import (
@@ -292,7 +292,7 @@ def test_searches_reject_negative_iterations():
 
 def _level_ordered(n, m):
     """The first m subsets of [n] by size, then by word: the lowest rows filled first."""
-    return Family.from_words(n, sorted(range(1 << n), key=lambda w: (level(w), w))[:m])
+    return Family.from_words(n, sorted(range(1 << n), key=lambda w: (w.bit_count(), w))[:m])
 
 
 def test_anneal_improves_a_level_ordered_start(monkeypatch):

@@ -4,7 +4,8 @@ from itertools import permutations
 
 import pytest
 
-from supersat.core import binom, level
+from conftest import traced_peak
+from supersat.core import binom
 from supersat.scd import (
     Decomposition,
     Permutation,
@@ -16,7 +17,6 @@ from supersat.scd import (
     bracketing_chain_of,
     chain_through,
     permute_decomposition,
-    scd_bracketing,
     scd_inductive,
     validate_scd,
 )
@@ -83,15 +83,15 @@ def test_bracketing_chain_of_empty_set_is_full_chain():
 
 
 def test_bracketing_chain_counts_and_validity():
-    assert len(scd_bracketing(8).chains) == binom(8, 4) == 70
+    assert len(scd_inductive(8).chains) == binom(8, 4) == 70
     for n in range(1, 11):
-        report = validate_scd(scd_bracketing(n))
+        report = validate_scd(scd_inductive(n))
         assert report.ok, (n, report.problems)
 
 
 def test_bracketing_chain_of_agrees_with_decomposition():
     for n in range(1, 13):
-        dec = scd_bracketing(n)
+        dec = scd_inductive(n)
         for word in range(1 << n):
             idx, pos = chain_through(dec, word)
             chain = bracketing_chain_of(n, word)
@@ -218,13 +218,12 @@ def test_permuted_decompositions_stay_valid():
 
     rng = random.Random(43)
     for n in (4, 6):
-        for build in (scd_inductive, scd_bracketing):
-            dec = build(n)
-            for _ in range(5):
-                image = list(range(1, n + 1))
-                rng.shuffle(image)
-                permuted = permute_decomposition(dec, Permutation(tuple(image)))
-                assert validate_scd(permuted).ok
+        dec = scd_inductive(n)
+        for _ in range(5):
+            image = list(range(1, n + 1))
+            rng.shuffle(image)
+            permuted = permute_decomposition(dec, Permutation(tuple(image)))
+            assert validate_scd(permuted).ok
 
 
 def test_validate_reports_empty_chains_and_words_outside_the_ground_set():
@@ -259,16 +258,15 @@ def test_chain_through_positions():
     assert dec.chains[idx] == (0b10,)
     assert pos == 0
     for n in (3, 5):
-        for build in (scd_inductive, scd_bracketing):
-            dec = build(n)
-            full = (1 << n) - 1
-            idx, pos = chain_through(dec, 0)
-            assert pos == 0 and len(dec.chains[idx]) == n + 1
-            idx2, pos2 = chain_through(dec, full)
-            assert idx2 == idx and pos2 == n
-            for word in range(1 << n):
-                i, p = chain_through(dec, word)
-                assert dec.chains[i][p] == word
+        dec = scd_inductive(n)
+        full = (1 << n) - 1
+        idx, pos = chain_through(dec, 0)
+        assert pos == 0 and len(dec.chains[idx]) == n + 1
+        idx2, pos2 = chain_through(dec, full)
+        assert idx2 == idx and pos2 == n
+        for word in range(1 << n):
+            i, p = chain_through(dec, word)
+            assert dec.chains[i][p] == word
 
 
 def test_chain_through_raises_key_error_for_a_word_on_no_chain():
@@ -302,20 +300,19 @@ def test_first_chain_table_agrees_with_chain_through():
 
 def test_min_level_census():
     for n in range(1, 15):
-        for build in (scd_inductive, scd_bracketing):
-            census: dict[int, int] = {}
-            for ch in build(n).chains:
-                m = min(level(w) for w in ch)
-                census[m] = census.get(m, 0) + 1
-            for m, count in census.items():
-                assert count == binom(n, m) - binom(n, m - 1)
+        census: dict[int, int] = {}
+        for ch in scd_inductive(n).chains:
+            m = min(w.bit_count() for w in ch)
+            census[m] = census.get(m, 0) + 1
+        for m, count in census.items():
+            assert count == binom(n, m) - binom(n, m - 1)
 
 
 def test_level_pair_chain_coverage():
     # chains meeting both level a and level b number min(C(n,a), C(n,b))
     for n in range(1, 13):
         spans = [
-            (min(level(w) for w in ch), max(level(w) for w in ch))
+            (min(w.bit_count() for w in ch), max(w.bit_count() for w in ch))
             for ch in scd_inductive(n).chains
         ]
         for a in range(n + 1):
@@ -330,14 +327,12 @@ def test_decompositions_allow_comparison_between_constructions():
     for n in range(1, 15):
         inductive = scd_inductive(n)
         assert set(inductive.chains) == {bracketing_chain_of(n, w) for w in range(1 << n)}, n
-        assert scd_bracketing(n) == inductive, n
 
 
 def test_canonical_chain_order():
-    for build in (scd_inductive, scd_bracketing):
-        dec = build(5)
-        keys = [(min(level(w) for w in ch), min(ch)) for ch in dec.chains]
-        assert keys == sorted(keys)
+    dec = scd_inductive(5)
+    keys = [(min(w.bit_count() for w in ch), min(ch)) for ch in dec.chains]
+    assert keys == sorted(keys)
 
 
 def per_word_image(dec, perm):
@@ -404,7 +399,7 @@ def test_permute_keeps_the_checked_order_on_non_ascending_chains():
         perm = Permutation(image)
         permuted = permute_decomposition(dec, perm)
         assert permuted == per_word_image(dec, perm), image
-        keys = [(min(level(w) for w in ch), min(ch)) for ch in permuted.chains]
+        keys = [(min(w.bit_count() for w in ch), min(ch)) for ch in permuted.chains]
         assert keys == sorted(keys), image
 
 
@@ -582,66 +577,55 @@ def test_validate_reads_a_one_shot_chain_stream():
     assert report.problems == ("chains cover 0 of 4 subsets", "0 chains, expected C(n, n//2) = 2")
 
 
-def fill_tuple_free_lists():
-    """Fill CPython's free lists of small tuples, 2000 of each size below
-    20, so that the chain tuples a stream makes and frees are reused from
-    them, not left on them and traced as if they were held."""
-    junk = [tuple(range(size)) for size in range(1, 20) for _ in range(2000)]
-    del junk
+# Fill CPython's free lists of small tuples, 2000 of each size below 20, so
+# that the chain tuples a stream makes and frees are reused from them, not
+# left on them and traced as if they were held.  It follows the imports,
+# whose compile would take tuples off the lists.
+FILL_TUPLE_FREE_LISTS = "[tuple(range(size)) for size in range(1, 20) for _ in range(2000)]"
 
 
 def test_stream_validation_peaks_at_the_seen_flags():
-    import tracemalloc
-
-    fill_tuple_free_lists()
-    chains = _scd_chains(16)  # its half tables are made here, before tracing
-    tracemalloc.start()
-    try:
-        report, read = _validate_chains(16, chains)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.ok and read == binom(16, 8)
+    setup = f"""
+        from supersat.scd import _scd_chains, _validate_chains
+        {FILL_TUPLE_FREE_LISTS}
+        chains = _scd_chains(16)  # its half tables are made here, before tracing
+        """
+    peak, (ok, read) = traced_peak(setup, "report, read = _validate_chains(16, chains)", "(report.ok, read)")
+    assert ok and read == binom(16, 8)
     # the bound of `test_validate_peaks_at_the_seen_flags`: no chain is kept
     assert peak <= (1 << 16) + 16 * 1024, peak
 
 
 def test_permute_holds_one_level_of_images():
     import sys
-    import tracemalloc
 
     n = 16
-    rotation = Permutation((*range(2, n + 1), 1))
     # the images of the largest level: per chain a tuple, its words and a
     # list slot; level 6 has 3,640 chains of 5 words, 0.83 MB, and the
     # whole image of 12,870 chains about 4 MB
     sizes = [(binom(n, v) - binom(n, v - 1), n + 1 - 2 * v) for v in range(n // 2 + 1)]
     word = sys.getsizeof(1 << 15)
     level = max(count * (sys.getsizeof((0,) * size) + size * word + 8) for count, size in sizes)
-    fill_tuple_free_lists()
-    chains = _scd_chains(n)
-    tracemalloc.start()
-    try:
-        deque(_permuted(chains, rotation), 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    setup = f"""
+        from collections import deque
+        from supersat.scd import Permutation, _permuted, _scd_chains
+        rotation = Permutation((*range(2, {n} + 1), 1))
+        {FILL_TUPLE_FREE_LISTS}
+        chains = _scd_chains({n})
+        """
+    peak, _ = traced_peak(setup, "deque(_permuted(chains, rotation), 0)")
     # a quarter more for the sort list's growth and the half tables; two
     # adjacent levels held together would not pass, nor would the whole image
     assert peak <= level * 5 // 4, (peak, level)
 
 
 def test_validate_peaks_at_the_seen_flags():
-    import tracemalloc
-
-    dec = scd_inductive(16)
-    tracemalloc.start()
-    try:
-        report = validate_scd(dec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.ok
+    setup = """
+        from supersat.scd import scd_inductive, validate_scd
+        dec = scd_inductive(16)
+        """
+    peak, ok = traced_peak(setup, "report = validate_scd(dec)", "report.ok")
+    assert ok
     # one flag byte per word; no per-word list, set or flattened copy
     assert peak <= (1 << 16) + 16 * 1024, peak
 
