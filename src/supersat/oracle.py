@@ -255,12 +255,6 @@ class KleitmanRow(NamedTuple):
     equal: bool
 
 
-def construction_count(n: int, k: int, m: int) -> int:
-    """Chain count of the centered construction, taking the better of the two
-    partial-level sides when the block leaves a choice."""
-    return _centered_start(n, k, m)[0]
-
-
 def kleitman_report(
     n: int, k: int, seed: int = 0, iterations: int = 500
 ) -> list[KleitmanRow]:

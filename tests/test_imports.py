@@ -146,5 +146,7 @@ def test_every_module_parses_as_python_3_10():
 
     paths = sorted(Path(supersat.__file__).parent.glob("*.py"))
     assert len(paths) >= 8
-    for path in paths:
+    # and the scripts CI runs on every leg, outside the package
+    tests = Path(__file__).parent
+    for path in (*paths, tests / "scale.py", tests / "run_mutants.py"):
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

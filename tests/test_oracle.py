@@ -10,7 +10,6 @@ from supersat.oracle import (
     _anneal,
     _exact_table,
     centered_family,
-    construction_count,
     kleitman_report,
     max_free_family,
     min_chain_count_exact,
@@ -371,7 +370,7 @@ def test_kleitman_rows_match_the_public_functions():
     for n in (5, 6):
         for k in (2, 3):
             for row in kleitman_report(n, k, seed=3, iterations=60):
-                built = construction_count(n, k, row.size)
+                built = count_k_chains(centered_family(n, row.size), k)
                 found = min_chain_count_heuristic(n, k, row.size, seed=3, iterations=60).min_count
                 assert row.construction_count == built, (n, k, row.size)
                 assert row.min_count == (found if built else 0), (n, k, row.size)
@@ -380,7 +379,7 @@ def test_kleitman_rows_match_the_public_functions():
         for k in range(1, n + 3):
             for row in kleitman_report(n, k):
                 assert row.min_count == min_chain_count_exact(n, k, row.size).min_count, (n, k, row.size)
-                assert row.construction_count == construction_count(n, k, row.size), (n, k, row.size)
+                assert row.construction_count == count_k_chains(centered_family(n, row.size), k), (n, k, row.size)
 
 
 def test_construction_count_prefers_better_side():
@@ -392,9 +391,10 @@ def test_construction_count_prefers_better_side():
     # cube: of dimension hi + 1 for the row above the block, and n - lo + 1
     # for the row below, and it grows with the dimension.  The middle-out row
     # is always on the side with the smaller dimension, and a symmetric block
-    # makes the two equal
+    # makes the two equal.  Each row of a report with no annealing holds the
+    # better side's count
     for n in range(1, 9):
         for k in range(1, 6):
-            for m in range((1 << n) + 1):
-                default = count_k_chains(centered_family(n, m), k)
-                assert construction_count(n, k, m) == default, (n, k, m)
+            for row in kleitman_report(n, k, iterations=0):
+                default = count_k_chains(centered_family(n, row.size), k)
+                assert row.construction_count == default, (n, k, row.size)

@@ -83,6 +83,8 @@ def test_bracketing_chain_of_empty_set_is_full_chain():
 
 
 def test_bracketing_chain_counts_and_validity():
+    # the one SCD, `scd_inductive`, which the bracket rule makes: C(n, n//2)
+    # chains, and a valid decomposition for every n <= 10
     assert len(scd_inductive(8).chains) == binom(8, 4) == 70
     for n in range(1, 11):
         report = validate_scd(scd_inductive(n))
@@ -322,8 +324,8 @@ def test_level_pair_chain_coverage():
 
 
 def test_decompositions_allow_comparison_between_constructions():
-    # the bracket rule applied to every word, independently of any
-    # construction, yields exactly the inductive chains
+    # the one SCD, `scd_inductive`, against the bracket rule applied to every
+    # word on its own (`bracketing_chain_of`): the two give the same chains
     for n in range(1, 15):
         inductive = scd_inductive(n)
         assert set(inductive.chains) == {bracketing_chain_of(n, w) for w in range(1 << n)}, n
