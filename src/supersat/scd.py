@@ -153,6 +153,8 @@ def _scd_chains(n: int) -> Iterator[Chain]:
     first h - 2|lo| - c unmatched '(' of lo and then those of hi.  The
     starts of one level, hi ascending and then lo ascending, ascend as
     words, so the chains come by level and then by least word, unsorted.
+    Each chain is a list made a tuple at its size: `tuple` of an iterator
+    grows its tuple as it goes, which raises the peak of `scd --n 20`.
 
     Like `core.level_words`, it checks n when called, not when the chains
     are first read.
@@ -167,7 +169,7 @@ def _scd_chains(n: int) -> Iterator[Chain]:
     highs = [(hi.bit_count(), hi << h, len(closers), [bit << h for bit in openers])
              for hi, (closers, openers) in enumerate(map(_brackets, range(1 << (n - h)), repeat(n - h)))]
     # a start at level v <= n/2 has a = v - b bits in lo and keeps all but c of its h - 2a '('
-    return (tuple(accumulate(lo_open[:len(lo_open) - c] + hi_open, or_, initial=head | lo))
+    return (tuple([*accumulate(lo_open[:len(lo_open) - c] + hi_open, or_, initial=head | lo)])
             for v in range(n // 2 + 1) for b, head, c, hi_open in highs
             if b <= v and 2 * (v - b) + c <= h for lo, lo_open in lows[v - b])
 

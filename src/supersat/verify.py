@@ -67,12 +67,21 @@ def _random_chain(rng: random.Random, n: int, k: int) -> tuple[int, ...]:
 def scd_suite() -> list[Check]:
     """Deterministic: it draws nothing at random, so it takes no seed.
     There is one SCD, `scd_inductive`; `constructions_comparison` checks
-    it against the bracket rule applied word by word."""
+    it against the bracket rule applied word by word.  Each decomposition
+    is built once, and for n <= 4 mapped once by each permutation: the
+    group action compares the image of an image with the image of the
+    composite."""
     checks = []
+    decs = {n: scd_inductive(n) for n in range(1, 9)}
+    images = {
+        p: permute_decomposition(decs[n], p)
+        for n in range(1, 5)
+        for p in map(Permutation, permutations(range(1, n + 1)))
+    }
 
     bad = []
-    for n in range(1, 9):
-        report = validate_scd(scd_inductive(n))
+    for n, dec in decs.items():
+        report = validate_scd(dec)
         if not report.ok:
             bad.append((n, report.problems))
     checks.append(
@@ -85,8 +94,8 @@ def scd_suite() -> list[Check]:
 
     census_ok = True
     detail = ""
-    for n in range(1, 9):
-        seen = Counter(min(w.bit_count() for w in ch) for ch in scd_inductive(n).chains)
+    for n, dec in decs.items():
+        seen = Counter(min(w.bit_count() for w in ch) for ch in dec.chains)
         for lvl, count in seen.items():
             if count != binom(n, lvl) - binom(n, lvl - 1):
                 census_ok = False
@@ -95,8 +104,7 @@ def scd_suite() -> list[Check]:
 
     pair_ok = True
     detail = ""
-    for n in range(1, 9):
-        dec = scd_inductive(n)
+    for n, dec in decs.items():
         for a in range(n + 1):
             for b in range(a, n - a + 1):
                 hits = sum(
@@ -110,34 +118,25 @@ def scd_suite() -> list[Check]:
                     detail = f"n={n}, levels ({a},{b}): {hits} chains, expected {want}"
     checks.append(Check("level_pair_coverage", pair_ok, detail))
 
-    action_ok = True
-    for n in range(1, 5):
-        dec = scd_inductive(n)
-        perms = [Permutation(p) for p in permutations(range(1, n + 1))]
-        for p in perms:
-            for t in perms:
-                lhs = permute_decomposition(permute_decomposition(dec, p), t)
-                rhs = permute_decomposition(dec, t.compose(p))
-                if lhs != rhs:
-                    action_ok = False
+    action_ok = all(
+        permute_decomposition(image, t) == images[t.compose(p)]
+        for p, image in images.items()
+        for t in images
+        if t.n == p.n
+    )
     checks.append(Check("permutation_group_action_n_le_4", action_ok))
 
     distinct_ok = True
     for n in (3, 4):
-        dec = scd_inductive(n)
-        images = [
-            permute_decomposition(dec, Permutation(p)).chains
-            for p in permutations(range(1, n + 1))
-        ]
-        if len(set(images)) != len(images):
+        chains = [image.chains for p, image in images.items() if p.n == n]
+        if len(set(chains)) != len(chains):
             distinct_ok = False
     checks.append(Check("permuted_images_pairwise_distinct", distinct_ok))
 
     # the one construction against the bracket rule applied word by word
     compare_ok = True
     detail = "inductive and bracketing chains coincide for n in [1, 2, 3, 4, 5, 6, 7, 8]"
-    for n in range(1, 9):
-        dec = scd_inductive(n)
+    for n, dec in decs.items():
         first = _first_chains(dec)
         for w in range(1 << n):
             want = bracketing_chain_of(n, w)

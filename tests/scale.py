@@ -14,10 +14,12 @@ its source compiled, reaches a CLI process's start-up: so a small
 
 Growth.  Each row takes the least wall time and max RSS of its rounds, less
 the least of `--version`, which is start-up alone and runs before every
-row.  Work linear in 2^n grows x4 from n = 18 to 20, n * 2^n work x4.4 and
-quadratic work x16, so a growth above x6 in time or in RSS fails.  The
-rows: `construct --k k --x C(n, n//2 + k//2)`, the middle k - 1 rows and
-the whole row next to them (`tight_x_max(n, k)`), for k = 4 and 2;
+run.  Within a round each row runs at n = 18 and then at n = 20 before the
+next row starts, so `construct` still runs before `count` at each n.  Work
+linear in 2^n grows x4 from n = 18 to 20, n * 2^n work x4.4 and quadratic
+work x16, so a growth above x6 in time or in RSS fails.  The rows:
+`construct --k k --x C(n, n//2 + k//2)`, the middle k - 1 rows and the
+whole row next to them (`tight_x_max(n, k)`), for k = 4 and 2;
 `count --k k` on that file; `scd`, `scd --validate`,
 `scd --permute 2,...,n,1` and the permuted `--validate`.
 
@@ -211,11 +213,14 @@ def main() -> int:
             for k in FAMILIES:
                 run(["bound", "--n", str(n), "--k", str(k), "--x", str(added(n, k))], tmp, env)
                 bounds[n, k] = field(tmp / "out", "bound")
+        # start-up before every run: alone it varies by tens of ms here,
+        # about what `construct` does above it at n = 18.  A row's two sizes
+        # run back to back, so load that drifts over a round falls on both
+        # sides of its ratio
+        rows = {n: commands(n) for n in SIZES}
+        runs = [job for name in rows[PINNED] for n in SIZES
+                for job in (("--version", 0, ["--version"]), (name, n, rows[n][name]))]
         for _ in range(ROUNDS):
-            # start-up before every row: alone it varies by tens of ms here,
-            # about what `construct` does above it at n = 18
-            runs = [job for n in SIZES for name, argv in commands(n).items()
-                    for job in (("--version", 0, ["--version"]), (name, n, argv))]
             for name, n, argv in runs:
                 t, rss, code = run(argv, tmp, env)
                 old = best.get((name, n), (t, rss))

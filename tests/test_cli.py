@@ -520,6 +520,24 @@ def test_verify_scd_compares_against_the_bracket_rule(monkeypatch, capsys):
     assert checks["constructions_comparison"]["detail"].startswith("n=2, word ")
 
 
+def test_verify_scd_builds_each_decomposition_and_image_once(monkeypatch):
+    from supersat import verify
+
+    calls = {"scd_inductive": 0, "permute_decomposition": 0}
+    for name in calls:
+
+        def counted(*args, _real=getattr(verify, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    checks = verify.scd_suite()
+    assert all(check.ok for check in checks), checks
+    # one SCD for each n <= 8; for n <= 4, one image per permutation
+    # (1 + 2 + 6 + 24 = 33) and one more per pair (1 + 4 + 36 + 576 = 617)
+    assert calls == {"scd_inductive": 8, "permute_decomposition": 650}
+
+
 def test_determinism_of_repeated_invocations(capsys):
     first = run_cli(capsys, "construct", "--n", "6", "--k", "2", "--x", "3")
     second = run_cli(capsys, "construct", "--n", "6", "--k", "2", "--x", "3")
